@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from math import sqrt
 
-from . import linalg
+from . import __version__, linalg
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
     NearResult,
@@ -57,8 +57,6 @@ from .stability import (
     stability_radius,
     transference_check,
 )
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -108,14 +106,38 @@ def _arg_rational_list(text: str) -> list[Fraction]:
     return [_arg_rational(tok) for tok in text.split(",") if tok]
 
 
+def _arg_count(least: int):
+    """argparse type for an integer of at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+_positive = _arg_count(1)
+_nonnegative = _arg_count(0)
+
+
 def _env_budget() -> int:
     raw = os.environ.get("LATSTAB_NODE_BUDGET")
     if raw is None:
         return DEFAULT_NODE_BUDGET
     try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"LATSTAB_NODE_BUDGET must be an integer, got {raw!r}") from None
+        return _positive(raw)
+    except argparse.ArgumentTypeError as e:
+        raise ParseError(f"LATSTAB_NODE_BUDGET {e}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
 def _cmd_dual(args):
@@ -179,7 +201,7 @@ def _cmd_svp(args):
         "norm_sq": _rat(nsq),
         "display": {"vector": _fls(v), "norm": sqrt(float(nsq))},
     }
-    rows = None
+    listed = [(coords, nsq)]
     if args.r2 is not None:
         found = list_vectors(L, args.r2, node_budget=args.node_budget)
         results["within"] = {
@@ -187,8 +209,9 @@ def _cmd_svp(args):
             "count": len(found),
             "vectors": [{"coords": list(c), "norm_sq": _rat(q)} for c, q in found],
         }
-        rows = [["coords", "norm_sq"]]
-        rows += [[" ".join(map(str, c)), _rat(q)] for c, q in found]
+        listed = found.vectors
+    rows = [["coords", "norm_sq"]]
+    rows += [[" ".join(map(str, c)), _rat(q)] for c, q in listed]
     doc = {"command": "svp", "inputs": {"basis": _ratm(L.basis)},
            "results": results, "budgets": {"node_budget": args.node_budget}}
     if args.r2 is not None:
@@ -421,14 +444,12 @@ def _cmd_linear(args):
     b = parse_vector(args.b)
     x = parse_vector(args.x)
     rep = residual_amplification(A, b, x, seed=args.seed)
-    y = linalg.vsub(x, linalg.vec_mat(
-        linalg.solve(linalg.gram(A), linalg.vsub(linalg.mat_vec(A, x), b)), A))
     results = {
-        "y": _rats(y),
+        "y": _rats(rep.y),
         "residual_norm_sq": _rat(rep.residual_norm_sq),
         "correction_norm_sq": _rat(rep.correction_norm_sq),
         "sigma_min_sq_lower": _rat(rep.sigma_min_sq_lower),
-        "display": {"y": _fls(y),
+        "display": {"y": _fls(rep.y),
                     "residual": sqrt(float(rep.residual_norm_sq)),
                     "correction": sqrt(float(rep.correction_norm_sq)),
                     "sigma_min_lower": rep.sigma_min_lower,
@@ -441,7 +462,7 @@ def _cmd_linear(args):
 
 
 def build_parser(default_budget: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latstab",
         description="Exact rational lattice computations: duals, reduction, "
                     "enumeration, and almost-near stability probes.")
@@ -455,13 +476,13 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
         if csv_ok:
             p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
         if budget:
-            p.add_argument("--node-budget", type=int, default=default_budget,
+            p.add_argument("--node-budget", type=_positive, default=default_budget,
                            help="enumeration node cap (env LATSTAB_NODE_BUDGET)")
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="PRNG seed")
         if probing:
-            p.add_argument("--restarts", type=int, default=32, help="probe restarts")
-            p.add_argument("--iters", type=int, default=200, help="probe ascent iterations")
+            p.add_argument("--restarts", type=_nonnegative, default=32, help="probe restarts")
+            p.add_argument("--iters", type=_positive, default=200, help="probe ascent iterations")
         p.set_defaults(func=func)
         return p
 
@@ -490,7 +511,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p = add("covering", "covering radius bounds", _cmd_covering, seeded=True)
     p.add_argument("lattice")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=_nonnegative, default=16)
 
     p = add("transference", "minima and covering inequalities against the dual "
                             "(exit 1 on violation)", _cmd_transference, seeded=True)
@@ -524,7 +545,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p.add_argument("lattice")
     p.add_argument("--delta", type=_arg_rational, required=True)
     p.add_argument("--eps2", type=_arg_rational, required=True, help="epsilon, squared")
-    p.add_argument("--max-levels", type=int, default=32)
+    p.add_argument("--max-levels", type=_positive, default=32)
 
     p = add("sharpness", "witness that threshold 1/3 is unimprovable", _cmd_sharpness)
     p.add_argument("lattice")
@@ -538,7 +559,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
                    help="comma separated scales, e.g. 1,10,100")
     p.add_argument("--delta", type=_arg_rational, default=Fraction(1, 4))
     p.add_argument("--eps2", type=_arg_rational, default=Fraction(1, 100))
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_nonnegative, default=32)
 
     p = add("gen", "seeded random integer basis", _cmd_gen, budget=False, seeded=True)
     p.add_argument("--n", type=int, required=True, help="ambient dimension")

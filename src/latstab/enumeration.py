@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import BudgetExceeded, NotInSpan, RankTooLarge
+from .errors import BudgetExceeded, NotInSpan, RankTooLarge, SingularMatrix
 from .lattice import Lattice
 from .linalg import Mat, Vec, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, _lll_rows
@@ -200,10 +200,6 @@ def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> Suc
     return SuccessiveMinima(minima_sq=tuple(minima), achieving_vectors=tuple(achieving))
 
 
-def _target_coords(prep: _Prep, L: Lattice, x: Vec) -> Vec | None:
-    return linalg.rowspace_coefficients(prep.rows, x)
-
-
 def closest_vector(L: Lattice, x, project: bool = False,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> NearResult:
     """Exact closest lattice point to x.
@@ -214,14 +210,14 @@ def closest_vector(L: Lattice, x, project: bool = False,
     """
     x = as_vec(x)
     prep = _prep(L)
-    t = _target_coords(prep, L, x)
+    t = linalg.rowspace_coefficients(prep.rows, x)
     extra = Fraction(0)
     if t is None:
         if not project:
             raise NotInSpan("target is outside span(L); pass project=True to allow")
         x_in = linalg.project_onto_rowspace(L.basis, x)
         extra = linalg.norm_sq(linalg.vsub(x, x_in))
-        t = _target_coords(prep, L, x_in)
+        t = linalg.rowspace_coefficients(prep.rows, x_in)
         assert t is not None
     rounded = tuple(round(a) for a in t)
     start = linalg.norm_sq(linalg.vsub(linalg.vec_mat(as_vec(rounded), prep.rows),
@@ -248,7 +244,7 @@ def _points_within(L: Lattice, x: Vec, radius_sq: Fraction,
     """All lattice points within radius of x (x in span(L)), as stored-basis
     coordinates with exact squared distances."""
     prep = _prep(L)
-    t = _target_coords(prep, L, x)
+    t = linalg.rowspace_coefficients(prep.rows, x)
     if t is None:
         raise NotInSpan("target is outside span(L)")
     out: list[tuple[tuple[int, ...], Fraction]] = []
@@ -298,9 +294,10 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[list[Vec], Fract
     vertices: set[Vec] = set()
     for subset in combinations(range(len(constraints)), m):
         A = as_mat([constraints[i][0] for i in subset])
-        if linalg.rank(A) != m:
+        try:
+            xi = linalg.solve(A, as_vec([constraints[i][1] for i in subset]))
+        except SingularMatrix:
             continue
-        xi = linalg.solve(A, as_vec([constraints[i][1] for i in subset]))
         if all(linalg.dot(xi, a) <= rhs for a, rhs in constraints):
             vertices.add(xi)
     assert vertices, "the Voronoi cell of a full-rank-in-span lattice has vertices"

@@ -13,6 +13,10 @@ class DependentRows(LatticeError):
     """An operation required linearly independent rows and did not get them."""
 
 
+class DimensionMismatch(LatticeError):
+    """Vectors or matrices of incompatible shapes were combined."""
+
+
 class NotInSpan(LatticeError):
     """A vector was required to lie in the rational span of a basis."""
 

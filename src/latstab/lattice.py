@@ -3,8 +3,8 @@
 A lattice is the set of integer combinations of independent rational rows.
 The dual consists of the vectors inside the same rational span whose inner
 product with every lattice vector is an integer; it is computed exactly as
-gram(B)^-1 B, which makes taking the dual twice literally the identity on
-basis matrices.
+the solution W of gram(B) W = B, which makes taking the dual twice
+literally the identity on basis matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import floor, lcm
 
 from . import linalg
 from .errors import DependentRows, NotInSpan
@@ -51,10 +51,6 @@ class Lattice:
     def gram_matrix(self) -> Mat:
         return linalg.gram(self.basis)
 
-    @cached_property
-    def gram_inverse(self) -> Mat:
-        return linalg.invert(self.gram_matrix)
-
     @staticmethod
     def from_generators(rows) -> "Lattice":
         """Lattice generated by possibly dependent rational rows."""
@@ -67,8 +63,8 @@ class Lattice:
 
 
 def dual(L: Lattice) -> Lattice:
-    """Dual lattice inside span(L): rows of gram(B)^-1 B, biorthogonal to B."""
-    return Lattice(linalg.mat_mul(L.gram_inverse, L.basis))
+    """Dual lattice inside span(L): the rows W with gram(B) W = B, biorthogonal to B."""
+    return Lattice(linalg.solve_matrix(L.gram_matrix, L.basis))
 
 
 def double_dual_check(L: Lattice) -> bool:
@@ -139,8 +135,7 @@ def equal_lattices(L1: Lattice, L2: Lattice) -> bool:
         return False
     _, D1 = linalg.clear_denominators(L1.basis)
     _, D2 = linalg.clear_denominators(L2.basis)
-    D = D1 * D2 // linalg._gcd(D1, D2)
-    scale = Fraction(D)
-    A = tuple(tuple(int(a * scale) for a in row) for row in L1.basis)
-    B = tuple(tuple(int(a * scale) for a in row) for row in L2.basis)
+    D = lcm(D1, D2)
+    A = tuple(tuple(int(a * D) for a in row) for row in L1.basis)
+    B = tuple(tuple(int(a * D) for a in row) for row in L2.basis)
     return linalg.hnf(A) == linalg.hnf(B)

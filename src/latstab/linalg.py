@@ -9,10 +9,10 @@ nothing in this module touches floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-from .errors import DependentRows, SingularMatrix
+from .errors import DependentRows, DimensionMismatch, SingularMatrix
 
 Rational = Fraction
 Vec = tuple[Fraction, ...]
@@ -60,10 +60,6 @@ def vscale(c: Fraction | int, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def transpose(M: Mat) -> Mat:
-    return tuple(zip(*M)) if M else ()
-
-
 def identity(m: int) -> Mat:
     return tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
 
@@ -94,70 +90,77 @@ def gram(B: Mat) -> Mat:
     return tuple(tuple(dot(u, v) for v in B) for u in B)
 
 
-def rank(M: Mat) -> int:
-    rows = [list(r) for r in M]
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for j in range(n):
+def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan elimination in place, pivoting on the first ncols columns.
+
+    Afterwards row i has a 1 in column pivots[i] and every other row a 0
+    there; rows past len(pivots) are zero in the first ncols columns, and the
+    columns beyond ncols carry the same row operations (augmented systems).
+    Returns the pivot columns and the signed product of the pivots, which is
+    the determinant when the first ncols columns form a nonsingular square.
+    """
+    pivots: list[int] = []
+    signed = Fraction(1)
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            signed = -signed
+        row = rows[r]
+        signed *= row[j]
+        # entries left of column j are zero in every row not yet pivoted on
+        inv = 1 / row[j]
+        row[j:] = [a * inv for a in row[j:]]
+        for i, other in enumerate(rows):
+            c = other[j]
+            if c and i != r:
+                other[j:] = [a - c * b for a, b in zip(other[j:], row[j:])]
+        pivots.append(j)
+    return pivots, signed
+
+
+def _square(M: Mat) -> int:
+    m = len(M)
+    if any(len(r) != m for r in M):
+        raise DimensionMismatch(f"need a square matrix, got {m} rows of lengths "
+                                f"{sorted({len(r) for r in M})}")
+    return m
+
+
+def rank(M: Mat) -> int:
+    return len(_eliminate([list(r) for r in M], len(M[0]) if M else 0)[0])
 
 
 def det(M: Mat) -> Fraction:
-    m = len(M)
-    assert all(len(r) == m for r in M), "determinant needs a square matrix"
-    rows = [list(r) for r in M]
-    result = Fraction(1)
-    for j in range(m):
-        piv = next((i for i in range(j, m) if rows[i][j]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            rows[j], rows[piv] = rows[piv], rows[j]
-            result = -result
-        result *= rows[j][j]
-        inv = 1 / rows[j][j]
-        for i in range(j + 1, m):
-            if rows[i][j]:
-                c = rows[i][j] * inv
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
-    return result
+    m = _square(M)
+    pivots, d = _eliminate([list(r) for r in M], m)
+    return d if len(pivots) == m else Fraction(0)
+
+
+def solve_matrix(M: Mat, R: Mat) -> Mat:
+    """The matrix X with M X = R for square M; raises SingularMatrix."""
+    m = _square(M)
+    if len(R) != m:
+        raise DimensionMismatch(f"right-hand side has {len(R)} rows, matrix has {m}")
+    rows = [list(a) + list(r) for a, r in zip(M, R)]
+    if len(_eliminate(rows, m)[0]) < m:
+        raise SingularMatrix("the matrix is singular")
+    return tuple(tuple(row[m:]) for row in rows)
 
 
 def invert(M: Mat) -> Mat:
     """Exact inverse of a square matrix; raises SingularMatrix if none exists."""
-    m = len(M)
-    assert all(len(r) == m for r in M), "inverse needs a square matrix"
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(M)]
-    for j in range(m):
-        piv = next((i for i in range(j, m) if aug[i][j]), None)
-        if piv is None:
-            raise SingularMatrix(f"no pivot in column {j}")
-        aug[j], aug[piv] = aug[piv], aug[j]
-        inv = 1 / aug[j][j]
-        aug[j] = [a * inv for a in aug[j]]
-        for i in range(m):
-            if i != j and aug[i][j]:
-                c = aug[i][j]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[j])]
-    return tuple(tuple(row[m:]) for row in aug)
+    return solve_matrix(M, identity(len(M)))
 
 
 def solve(M: Mat, b: Vec) -> Vec:
     """Solution x of the square system M x = b; raises SingularMatrix."""
-    return mat_vec(invert(M), b)
+    return tuple(r[0] for r in solve_matrix(M, tuple((a,) for a in b)))
 
 
 def gram_schmidt(B: Mat) -> tuple[Mat, Mat]:
@@ -193,37 +196,27 @@ def project_onto_rowspace(B: Mat, x: Vec) -> Vec:
 def rowspace_coefficients(B: Mat, x: Vec) -> Vec | None:
     """Coefficients c with c B = x, or None when x is outside the row space.
 
-    B must have independent rows; the returned c is unique.
+    B must have independent rows; the returned c is unique. One elimination
+    of [B^T | x] decides both.
     """
-    try:
-        c = solve(gram(B), mat_vec(B, x))
-    except SingularMatrix:
-        raise DependentRows("coordinates need independent rows") from None
-    return c if vec_mat(c, B) == tuple(x) else None
+    k, n = len(B), len(B[0])
+    if len(x) != n:
+        raise DimensionMismatch(f"vector has {len(x)} entries, the rows have {n}")
+    rows = [[B[i][j] for i in range(k)] + [x[j]] for j in range(n)]
+    if len(_eliminate(rows, k)[0]) < k:
+        raise DependentRows("coordinates need independent rows")
+    if any(row[k] for row in rows[k:]):
+        return None
+    return tuple(row[k] for row in rows[:k])
 
 
 def null_space(M: Mat) -> Mat:
     """Rows spanning the solution space of M x = 0 (one row per free column)."""
     rows = [list(r) for r in M]
     n = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][j]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-    free = [j for j in range(n) if j not in pivots]
+    pivots, _ = _eliminate(rows, n)
     basis = []
-    for f in free:
+    for f in (j for j in range(n) if j not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
@@ -276,18 +269,9 @@ def hnf(M: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 def clear_denominators(M: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Smallest positive integer D with D*M integral, plus that integer matrix."""
-    D = 1
-    for row in M:
-        for a in row:
-            D = D * a.denominator // _gcd(D, a.denominator)
+    D = lcm(*(a.denominator for row in M for a in row))
     scaled = tuple(tuple(int(a * D) for a in row) for row in M)
     return scaled, D
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def floor_sqrt(x: Fraction) -> int:

@@ -31,7 +31,7 @@ from .enumeration import (
     shortest_vector,
     successive_minima,
 )
-from .errors import DependentRows, NotInSpan, RankTooLarge
+from .errors import DependentRows, DimensionMismatch, NotInSpan, RankTooLarge, SingularMatrix
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
 from .linalg import Mat, Vec, as_mat, as_vec
 from .reduction import lll, minkowski_reduce
@@ -116,10 +116,14 @@ def almost_near_linear(A, b, x) -> Vec:
     A = as_mat(A)
     b = as_vec(b)
     x = as_vec(x)
-    if linalg.rank(A) != len(A):
-        raise DependentRows("the system matrix must have independent rows")
+    if not A or len(b) != len(A) or len(x) != len(A[0]):
+        raise DimensionMismatch(f"A has shape {len(A)}x{len(A[0]) if A else 0}, "
+                                f"b has {len(b)} entries and x has {len(x)}")
     r = linalg.vsub(linalg.mat_vec(A, x), b)
-    s = linalg.solve(linalg.gram(A), r)
+    try:
+        s = linalg.solve(linalg.gram(A), r)
+    except SingularMatrix:
+        raise DependentRows("the system matrix must have independent rows") from None
     y = linalg.vsub(x, linalg.vec_mat(s, A))
     assert linalg.mat_vec(A, y) == b
     return y
@@ -127,6 +131,7 @@ def almost_near_linear(A, b, x) -> Vec:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    y: Vec                        # the exact solution of A y = b nearest to x
     residual_norm_sq: Fraction
     correction_norm_sq: Fraction
     sigma_min_sq_lower: Fraction  # exact certified lower bound on the least eigenvalue of AA^T
@@ -163,6 +168,7 @@ def residual_amplification(A, b, x, power_iters: int = 24, seed: int = 0) -> Res
         v = tuple(e / scale for e in v)
     rayleigh = linalg.dot(v, linalg.mat_vec(Ginv, v)) / linalg.dot(v, v)
     return ResidualReport(
+        y=y,
         residual_norm_sq=residual_sq,
         correction_norm_sq=correction_sq,
         sigma_min_sq_lower=sigma_min_sq_lower,
@@ -454,14 +460,14 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         raise ValueError(f"delta must be in (0, 1/3), got {delta}")
     if epsilon_sq <= 0:
         raise ValueError("epsilon_sq must be positive")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     try:
         red = minkowski_reduce(L, node_budget=cfg.node_budget)
     except RankTooLarge:
         red = lll(L)
-    Bred = red.basis
-    Wred = linalg.mat_mul(linalg.invert(linalg.gram(Bred)), Bred)
     m = L.rank
-    sum_w = sum((linalg.norm_sq(w) for w in Wred), Fraction(0))
+    sum_w = sum((linalg.norm_sq(w) for w in dual(red.lattice).basis), Fraction(0))
     base_radius_sq = max(red.norms_sq)
     base_bound_sq = delta * delta * m * sum_w
     K = max(1, linalg.ceil_sqrt(base_bound_sq / epsilon_sq))

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import latstab
 from latstab import parse_lattice_file, parse_lattice_text
 from latstab.cli import main
 
@@ -80,6 +85,11 @@ class TestCommands:
         doc = doc_of(out)
         assert doc["results"]["norm_sq"] == "1/4"
         assert doc["results"]["within"]["count"] == 2
+
+    def test_svp_csv_without_listing(self, run, mixed_file):
+        code, out, _ = run("svp", mixed_file, "--csv")
+        assert code == 0
+        assert out.splitlines() == ["coords,norm_sq", "0 1,1/4"]
 
     def test_cvp(self, run, tmp_path):
         path = tmp_path / "z2.txt"
@@ -207,3 +217,48 @@ class TestExitCodes:
         code, _, err = run("covering", str(path), "--mode", "exact")
         assert code == 2
         assert "rank" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cvp", "-x", "1 2 3"),
+        ("near-dual", "-x", "1 2 3"),
+        ("hypothesis", "-x", "1 2 3", "--delta", "1/4", "--r2", "4"),
+        ("round-dual", "-x", "1 2 3"),
+    ])
+    def test_dimension_mismatch(self, run, mixed_file, argv):
+        code, out, err = run(argv[0], mixed_file, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "entries" in err
+
+    def test_linear_shape_mismatch(self, run):
+        code, out, err = run("linear-almost-near", "--matrix", "1 1", "-b", "1", "-x", "1 2 3")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "shape" in err
+
+    def test_dimension_mismatch_under_optimize(self, mixed_file):
+        # -O strips asserts, so the check must be an explicit error
+        src = str(Path(latstab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "latstab.cli", "cvp", mixed_file, "-x", "1 2 3"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and "entries" in proc.stderr
+
+    @pytest.mark.parametrize("budget_env, argv", [
+        (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
+                "--max-levels", "0")),
+        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "0")),
+        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "-1")),
+        (None, ("covering", "L", "--mode", "heuristic", "--restarts", "-1")),
+        (None, ("family", "--restarts", "-1")),
+        (None, ("minima", "L", "--node-budget", "0")),
+        (None, ("minima", "L", "--node-budget", "-1")),
+        ("0", ("minima", "L")),
+    ])
+    def test_bad_counts(self, run, mixed_file, monkeypatch, budget_env, argv):
+        if budget_env is not None:
+            monkeypatch.setenv("LATSTAB_NODE_BUDGET", budget_env)
+        code, out, err = run(*[mixed_file if a == "L" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "at least" in err

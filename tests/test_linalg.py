@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from latstab import DependentRows, SingularMatrix, equal_lattices, Lattice
+from latstab import DependentRows, DimensionMismatch, SingularMatrix, equal_lattices, Lattice
 from latstab import linalg
 
 
@@ -135,3 +135,67 @@ def test_inverse_roundtrip(rows):
     if linalg.det(A) == 0:
         return
     assert linalg.mat_mul(A, linalg.invert(A)) == linalg.identity(3)
+
+
+small_ints = st.integers(-4, 4)
+
+
+def int_matrix(rows, cols):
+    return st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(linalg.as_mat)
+
+
+class TestEliminationKernel:
+    """One elimination routine serves rank, det, solve, inverse, kernel and
+    coordinates; these properties pin its pivoting and sign bookkeeping."""
+
+    @given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+        lambda c: int_matrix(r, c))))
+    def test_rank_nullity(self, A):
+        ns = linalg.null_space(A)
+        assert linalg.rank(A) + len(ns) == len(A[0])
+        for n in ns:
+            assert linalg.mat_vec(A, n) == linalg.zeros(len(A))
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(int_matrix(m, m), int_matrix(m, m))))
+    def test_det_multiplicative(self, pair):
+        A, B = pair
+        assert linalg.det(linalg.mat_mul(A, B)) == linalg.det(A) * linalg.det(B)
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        int_matrix(m, m), st.lists(small_ints, min_size=m, max_size=m))))
+    def test_solve_satisfies_system(self, case):
+        A, b = case
+        b = linalg.as_vec(b)
+        if linalg.det(A) == 0:
+            with pytest.raises(SingularMatrix):
+                linalg.solve(A, b)
+            return
+        assert linalg.mat_vec(A, linalg.solve(A, b)) == b
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.integers(1, n - 1).flatmap(
+        lambda k: st.tuples(int_matrix(k, n), st.lists(small_ints, min_size=k, max_size=k)))))
+    def test_rowspace_coefficients(self, case):
+        B, c = case
+        if linalg.rank(B) < len(B):
+            with pytest.raises(DependentRows):
+                linalg.rowspace_coefficients(B, linalg.zeros(len(B[0])))
+            return
+        c = linalg.as_vec(c)
+        x = linalg.vec_mat(c, B)
+        assert linalg.rowspace_coefficients(B, x) == c
+        off = linalg.null_space(B)[0]  # orthogonal to every row of B
+        assert linalg.rowspace_coefficients(B, linalg.vadd(x, off)) is None
+
+
+class TestDimensionMismatch:
+    def test_rowspace_coefficients(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.rowspace_coefficients(M((1, 0, 0), (0, 1, 0)), linalg.as_vec((1, 2)))
+
+    def test_non_square(self):
+        for f in (linalg.det, linalg.invert):
+            with pytest.raises(DimensionMismatch):
+                f(M((1, 0, 0), (0, 1, 0)))
+        with pytest.raises(DimensionMismatch):
+            linalg.solve(linalg.identity(2), linalg.as_vec((1, 2, 3)))

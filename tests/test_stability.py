@@ -4,6 +4,7 @@ import pytest
 
 from latstab import (
     DependentRows,
+    DimensionMismatch,
     Lattice,
     NotInSpan,
     ProbeConfig,
@@ -84,6 +85,11 @@ class TestAlmostNearLinear:
         with pytest.raises(DependentRows):
             almost_near_linear(((F(1), F(1)), (F(2), F(2))), (1, 2), (0, 0))
 
+    @pytest.mark.parametrize("b, x", [((1, 2), (0, 0)), ((1,), (0, 0, 0))])
+    def test_shapes_checked(self, b, x):
+        with pytest.raises(DimensionMismatch):
+            almost_near_linear(((F(1), F(1)),), b, x)
+
     def test_residual_certificate_frozen(self):
         rep = residual_amplification(((F(1), F(0), F(0)), (F(0), F(2), F(0))),
                                      (1, 2), (2, 1, 5))
@@ -94,6 +100,7 @@ class TestAlmostNearLinear:
 
     def test_residual_single_row(self):
         rep = residual_amplification(((F(1), F(1)),), (1,), (F(1, 2), 5))
+        assert rep.y == (F(-7, 4), F(11, 4))
         assert rep.residual_norm_sq == F(81, 4)
         assert rep.correction_norm_sq == F(81, 8)
         assert rep.sigma_min_sq_lower == 2
@@ -210,6 +217,8 @@ class TestStabilityRadius:
             stability_radius(z1, F(1, 3), F(1, 100), FAST)
         with pytest.raises(ValueError):
             stability_radius(z1, F(1, 4), F(0), FAST)
+        with pytest.raises(ValueError):
+            stability_radius(z1, F(1, 4), F(1, 100), FAST, max_levels=0)
 
 
 class TestDegenerateFamily:
