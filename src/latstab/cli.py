@@ -125,10 +125,8 @@ _nonnegative = _arg_count(0)
 
 def _env_budget() -> int:
     raw = os.environ.get("LATSTAB_NODE_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
     try:
-        return _positive(raw)
+        return DEFAULT_NODE_BUDGET if raw is None else _positive(raw)
     except argparse.ArgumentTypeError as e:
         raise ParseError(f"LATSTAB_NODE_BUDGET {e}") from None
 

@@ -202,7 +202,7 @@ def rowspace_coefficients(B: Mat, x: Vec) -> Vec | None:
     k, n = len(B), len(B[0])
     if len(x) != n:
         raise DimensionMismatch(f"vector has {len(x)} entries, the rows have {n}")
-    rows = [[B[i][j] for i in range(k)] + [x[j]] for j in range(n)]
+    rows = [[*col, xj] for col, xj in zip(zip(*B), x)]
     if len(_eliminate(rows, k)[0]) < k:
         raise DependentRows("coordinates need independent rows")
     if any(row[k] for row in rows[k:]):

@@ -18,7 +18,7 @@ import io
 import json
 import os
 import shutil
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -54,8 +54,6 @@ def test_golden(name, tmp_path, monkeypatch):
 
 
 def regenerate() -> None:
-    import tempfile
-
     os.environ.pop("LATSTAB_NODE_BUDGET", None)
     lines = []
     for name in sorted(CASES):
@@ -68,4 +66,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
