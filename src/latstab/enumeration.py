@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import BudgetExceeded, NotInSpan, RankTooLarge, SingularMatrix
+from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge, SingularMatrix
 from .lattice import Lattice
 from .linalg import Mat, Vec, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, _lll_rows
@@ -87,9 +87,8 @@ class _Prep:
 
 @lru_cache(maxsize=256)
 def _prep(L: Lattice) -> _Prep:
-    rows, U = _lll_rows(L.basis, DEFAULT_DELTA)
-    bstar, mu = linalg.gram_schmidt(rows)
-    return _Prep(rows=rows, transform=U, gamma=tuple(linalg.norm_sq(w) for w in bstar), mu=mu)
+    rows, U, gamma, mu = _lll_rows(L.basis, DEFAULT_DELTA)
+    return _Prep(rows=rows, transform=U, gamma=gamma, mu=mu)
 
 
 def _se_scan(prep: _Prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
@@ -330,7 +329,9 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
     if mode == "exact":
         _, mu_sq, witness = _voronoi_vertex_data(L, node_budget)
         check = closest_vector(L, witness, node_budget=node_budget)
-        assert check.dist_sq == mu_sq, "witness distance must equal the vertex norm"
+        if check.dist_sq != mu_sq:
+            raise CertificationFailed(f"deepest-hole witness lies at distance^2 {check.dist_sq}, "
+                                      f"not at the vertex norm {mu_sq}")
         return CoveringRadiusBounds(lower_sq=mu_sq, upper_sq=mu_sq, exact=True, witness=witness)
     if mode != "heuristic":
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")

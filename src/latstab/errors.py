@@ -41,6 +41,10 @@ class BudgetExceeded(LatticeError):
         self.budget = budget
 
 
+class CertificationFailed(LatticeError):
+    """An exact check of a computed result (witness, solution, identity) failed."""
+
+
 class GenerationFailed(LatticeError):
     """Rejection sampling gave up before producing a full-rank matrix."""
 

@@ -2,9 +2,12 @@
 
 LLL runs entirely over Fractions, so the size-reduction and exchange
 conditions are decided exactly and reducing an already reduced basis is a
-literal no-op. Minkowski reduction is the greedy scheme: each step takes a
-shortest lattice vector that keeps the chosen prefix extendable to a basis.
-It is exact but enumerative, hence capped at small rank.
+literal no-op. The Gram-Schmidt coefficients mu and squared norms gamma are
+computed once and then updated exactly and incrementally at each
+size-reduction step and swap, never recomputed. Minkowski reduction is the
+greedy scheme: each step takes a shortest lattice vector that keeps the
+chosen prefix extendable to a basis. It is exact but enumerative, hence
+capped at small rank.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .errors import NotInLattice, NotPrimitive, RankTooLarge
+from .errors import CertificationFailed, NotInLattice, NotPrimitive, RankTooLarge
 from .lattice import Lattice, integral_coordinates
 from .linalg import Mat, Vec, as_mat, as_vec
 
@@ -35,36 +38,52 @@ class ReducedBasis:
         return self.lattice.basis
 
 
-def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce rows; also returns the unimodular coordinate rows U with
-    reduced = U * original."""
+def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], ...],
+                                                   tuple[Fraction, ...], Mat]:
+    """LLL-reduce rows. Returns the reduced rows, the unimodular coordinate
+    rows U with reduced = U * original, and the squared Gram-Schmidt norms
+    gamma and coefficients mu of the reduced rows.
+
+    Gram-Schmidt is computed once; size reduction and swaps then update mu
+    and gamma exactly in place (Cohen, Alg. 2.6.3), so every rounding and
+    exchange decision sees the values a full recomputation would give."""
     m = len(rows)
     b = list(rows)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    _, mu = linalg.gram_schmidt(tuple(b))
-    gamma = _gs_norms(tuple(b))
+    bstar, mu0 = linalg.gram_schmidt(tuple(b))
+    gamma = [linalg.norm_sq(w) for w in bstar]
+    mu = [list(r) for r in mu0]
     k = 1
     while k < m:
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mk[j])
             if q:
                 b[k] = linalg.vsub(b[k], linalg.vscale(q, b[j]))
                 U[k] = [a - q * c for a, c in zip(U[k], U[j])]
-                _, mu = linalg.gram_schmidt(tuple(b))
-        gamma = _gs_norms(tuple(b))
-        if gamma[k] >= (delta - mu[k][k - 1] ** 2) * gamma[k - 1]:
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        u = mk[k - 1]
+        if gamma[k] >= (delta - u ** 2) * gamma[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            U[k], U[k - 1] = U[k - 1], U[k]
-            _, mu = linalg.gram_schmidt(tuple(b))
-            k = max(k - 1, 1)
-    return tuple(b), tuple(tuple(r) for r in U)
-
-
-def _gs_norms(rows: Mat) -> tuple[Fraction, ...]:
-    bstar, _ = linalg.gram_schmidt(rows)
-    return tuple(linalg.norm_sq(w) for w in bstar)
+            continue
+        # exchange rows k-1 and k: b*_{k-1} becomes b*_k + u b*_{k-1}
+        big = gamma[k] + u * u * gamma[k - 1]
+        v = u * gamma[k - 1] / big
+        gamma[k] = gamma[k - 1] * gamma[k] / big
+        gamma[k - 1] = big
+        b[k], b[k - 1] = b[k - 1], b[k]
+        U[k], U[k - 1] = U[k - 1], U[k]
+        mk[:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mk[:k - 1]
+        mk[k - 1] = v
+        for i in range(k + 1, m):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - u * t
+            mu[i][k - 1] = t + v * mu[i][k]
+        k = max(k - 1, 1)
+    return tuple(b), tuple(tuple(r) for r in U), tuple(gamma), tuple(tuple(r) for r in mu)
 
 
 def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis:
@@ -72,7 +91,7 @@ def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis
     delta = linalg.as_rational(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError(f"LLL parameter must be in (1/4, 1), got {delta}")
-    rows, _ = _lll_rows(L.basis, delta)
+    rows = _lll_rows(L.basis, delta)[0]
     return ReducedBasis(
         lattice=Lattice(rows),
         kind="lll",
@@ -193,8 +212,10 @@ def extend_to_basis(L: Lattice, partial) -> Mat:
             key = (dist_sq, nsq, tuple(-a for a in vec))
             if best is None or key < best[0]:
                 best = (key, vec, c)
-        assert best is not None, "a lattice of higher rank always has a vector off the span"
+        if best is None:
+            raise CertificationFailed("no lattice vector found off the span of the partial system")
         current.append(best[1])
         coords.append(best[2])
-        assert _primitive_coords([c for c in coords if c is not None])
+        if not _primitive_coords([c for c in coords if c is not None]):
+            raise CertificationFailed("the extended system is not primitive")
     return tuple(current)

@@ -31,7 +31,8 @@ from .enumeration import (
     shortest_vector,
     successive_minima,
 )
-from .errors import DependentRows, DimensionMismatch, NotInSpan, RankTooLarge, SingularMatrix
+from .errors import (CertificationFailed, DependentRows, DimensionMismatch, NotInSpan,
+                     RankTooLarge, SingularMatrix)
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
 from .linalg import Mat, Vec, as_mat, as_vec
 from .reduction import lll, minkowski_reduce
@@ -107,26 +108,36 @@ def near_dual_vector(L: Lattice, x, node_budget: int = DEFAULT_NODE_BUDGET) -> N
     return closest_vector(dual(L), x, node_budget=node_budget)
 
 
+def _nearest_solution(A: Mat, b: Vec, x: Vec, with_inverse: bool = False) -> tuple[Vec, Vec, Mat]:
+    """almost_near_linear's y, the residual r = A x - b and, when asked,
+    (A A^T)^-1 (else ()), all from one elimination of the Gram matrix A A^T."""
+    if not A or len(b) != len(A) or len(x) != len(A[0]):
+        raise DimensionMismatch(f"A has shape {len(A)}x{len(A[0]) if A else 0}, "
+                                f"b has {len(b)} entries and x has {len(x)}")
+    r = linalg.vsub(linalg.mat_vec(A, x), b)
+    G = linalg.gram(A)
+    Ginv: Mat = ()
+    try:
+        if with_inverse:
+            Ginv = linalg.invert(G)
+            s = linalg.mat_vec(Ginv, r)
+        else:
+            s = linalg.solve(G, r)
+    except SingularMatrix:
+        raise DependentRows("the system matrix must have independent rows") from None
+    y = linalg.vsub(x, linalg.vec_mat(s, A))
+    if linalg.mat_vec(A, y) != b:
+        raise CertificationFailed("the corrected point does not solve A y = b")
+    return y, r, Ginv
+
+
 def almost_near_linear(A, b, x) -> Vec:
     """Exact solution of A y = b nearest to x (rows of A independent).
 
     y = x - A^T (A A^T)^-1 (A x - b); the correction is the orthogonal
     projection of the residual back through the row space.
     """
-    A = as_mat(A)
-    b = as_vec(b)
-    x = as_vec(x)
-    if not A or len(b) != len(A) or len(x) != len(A[0]):
-        raise DimensionMismatch(f"A has shape {len(A)}x{len(A[0]) if A else 0}, "
-                                f"b has {len(b)} entries and x has {len(x)}")
-    r = linalg.vsub(linalg.mat_vec(A, x), b)
-    try:
-        s = linalg.solve(linalg.gram(A), r)
-    except SingularMatrix:
-        raise DependentRows("the system matrix must have independent rows") from None
-    y = linalg.vsub(x, linalg.vec_mat(s, A))
-    assert linalg.mat_vec(A, y) == b
-    return y
+    return _nearest_solution(as_mat(A), as_vec(b), as_vec(x))[0]
 
 
 @dataclass(frozen=True)
@@ -145,21 +156,21 @@ def residual_amplification(A, b, x, power_iters: int = 24, seed: int = 0) -> Res
     The correction lies in the row space, where ||Av|| >= sigma_min ||v||, so
     correction^2 * sigma_min^2 <= residual^2. Both the identity
     ||A(x - y)||^2 == residual^2 and that inequality (with the certified
-    rational bound sigma_min^2 >= 1/trace((AA^T)^-1)) are asserted exactly.
+    rational bound sigma_min^2 >= 1/trace((AA^T)^-1)) are checked exactly and
+    raise CertificationFailed when they fail.
     """
     A = as_mat(A)
-    b = as_vec(b)
     x = as_vec(x)
-    y = almost_near_linear(A, b, x)
-    r = linalg.vsub(linalg.mat_vec(A, x), b)
+    y, r, Ginv = _nearest_solution(A, as_vec(b), x, with_inverse=True)
     residual_sq = linalg.norm_sq(r)
     corr = linalg.vsub(x, y)
     correction_sq = linalg.norm_sq(corr)
-    assert linalg.mat_vec(A, corr) == r
-    Ginv = linalg.invert(linalg.gram(A))
+    if linalg.mat_vec(A, corr) != r:
+        raise CertificationFailed("A (x - y) differs from the residual A x - b")
     trace_inv = sum((Ginv[i][i] for i in range(len(A))), Fraction(0))
     sigma_min_sq_lower = 1 / trace_inv
-    assert correction_sq * sigma_min_sq_lower <= residual_sq
+    if correction_sq * sigma_min_sq_lower > residual_sq:
+        raise CertificationFailed("correction^2 * sigma_min^2 lower bound exceeds residual^2")
     rng = SplitMix64(seed)
     v = as_vec([rng.int_between(1, 16) for _ in range(len(A))])
     for _ in range(power_iters):
@@ -415,7 +426,9 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
         f, w = got
         if f > best[0] or (f == best[0] and w < best[1]):
             best = (f, w)
-    assert feasible(best[1]), "probe witnesses are exactly feasible by construction"
+    if not feasible(best[1]):
+        raise CertificationFailed(f"the probe witness violates the hypothesis at "
+                                  f"radius^2 {radius_sq}")
     return best
 
 

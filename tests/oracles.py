@@ -71,3 +71,56 @@ def box_minima(L: Lattice):
                 if len(chosen) == m:
                     return tuple(mins)
         radius *= 4
+
+
+def reference_lll_rows(rows, delta):
+    """LLL that recomputes the whole Gram-Schmidt decomposition after every
+    size-reduction step, every exchange test and every swap. Returns the
+    reduced rows and the unimodular U with reduced = U * original; the
+    incremental LLL must make exactly the same moves."""
+    m = len(rows)
+    b = list(rows)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    _, mu = linalg.gram_schmidt(tuple(b))
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = linalg.vsub(b[k], linalg.vscale(q, b[j]))
+                U[k] = [a - q * c for a, c in zip(U[k], U[j])]
+                _, mu = linalg.gram_schmidt(tuple(b))
+        gamma = [linalg.norm_sq(w) for w in linalg.gram_schmidt(tuple(b))[0]]
+        if gamma[k] >= (delta - mu[k][k - 1] ** 2) * gamma[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            U[k], U[k - 1] = U[k - 1], U[k]
+            _, mu = linalg.gram_schmidt(tuple(b))
+            k = max(k - 1, 1)
+    return tuple(b), tuple(tuple(r) for r in U)
+
+
+def lll_violations(B, delta=Fraction(3, 4)):
+    """Every failed textbook LLL condition of the rows B: |mu_ij| <= 1/2 for
+    j < i, and Lovasz gamma_i >= (delta - mu_{i,i-1}^2) gamma_{i-1}."""
+    bstar, mu = linalg.gram_schmidt(B)
+    gamma = [linalg.norm_sq(w) for w in bstar]
+    bad = []
+    for i in range(len(B)):
+        bad += [f"|mu[{i}][{j}]| > 1/2" for j in range(i) if abs(mu[i][j]) > Fraction(1, 2)]
+        if i and gamma[i] < (delta - mu[i][i - 1] ** 2) * gamma[i - 1]:
+            bad.append(f"Lovasz fails at row {i}")
+    return bad
+
+
+def same_lattice(B1, B2) -> bool:
+    """Each basis has integer coordinates in the other."""
+    if len(B1) != len(B2):
+        return False
+    for P, Q in ((B1, B2), (B2, B1)):
+        for row in Q:
+            c = linalg.rowspace_coefficients(P, row)
+            if c is None or any(a.denominator != 1 for a in c):
+                return False
+    return True

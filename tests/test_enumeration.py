@@ -4,11 +4,13 @@ import pytest
 
 from latstab import (
     BudgetExceeded,
+    CertificationFailed,
     Lattice,
     NotInSpan,
     RankTooLarge,
     closest_vector,
     covering_radius,
+    enumeration,
     linalg,
     list_vectors,
     shortest_vector,
@@ -124,6 +126,13 @@ class TestCoveringRadius:
     def test_witness_distance_is_the_radius(self, skew2):
         got = covering_radius(skew2)
         assert closest_vector(skew2, got.witness).dist_sq == got.lower_sq
+
+    def test_wrong_witness_rejected(self, z2, monkeypatch):
+        verts, mu_sq, _ = enumeration._voronoi_vertex_data(z2, 10_000)
+        monkeypatch.setattr(enumeration, "_voronoi_vertex_data",
+                            lambda L, budget: (verts, mu_sq, (F(1, 2), F(1, 4))))
+        with pytest.raises(CertificationFailed):
+            covering_radius(z2)
 
     def test_exact_capped_at_rank_three(self):
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))

@@ -4,17 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latstab import (
+    CertificationFailed,
     Lattice,
     NotInLattice,
     NotPrimitive,
     RankTooLarge,
+    enumeration,
     equal_lattices,
     extend_to_basis,
     is_primitive_system,
     linalg,
     lll,
     minkowski_reduce,
+    random_lattice,
 )
+from latstab.enumeration import ShortVectorList
+from latstab.reduction import DEFAULT_DELTA, _lll_rows
+from conftest import seeded_lattices
+from oracles import lll_violations, reference_lll_rows, same_lattice
 
 
 class TestLLL:
@@ -49,6 +56,36 @@ class TestLLL:
             lll(z2, F(1, 4))
         with pytest.raises(ValueError):
             lll(z2, F(1))
+
+
+class TestIncrementalLLL:
+    """The exact in-place mu/gamma updates make the same moves as the
+    recompute-every-step reference."""
+
+    @staticmethod
+    def check_against_reference(B):
+        rows, U, gamma, mu = _lll_rows(B, DEFAULT_DELTA)
+        assert (rows, U) == reference_lll_rows(B, DEFAULT_DELTA)
+        assert linalg.mat_mul(linalg.as_mat(U), B) == rows
+        assert abs(linalg.det(linalg.as_mat(U))) == 1
+        bstar, mu_ref = linalg.gram_schmidt(rows)
+        assert gamma == tuple(linalg.norm_sq(w) for w in bstar)
+        assert mu == mu_ref
+
+    def test_matches_reference_on_seeded_lattices(self):
+        for L in seeded_lattices(606, 40, n_max=8, entry_bound=9):
+            self.check_against_reference(L.basis)
+
+    @pytest.mark.parametrize("m", [12, 13, 14])
+    def test_matches_reference_at_rank_12_to_14(self, m):
+        self.check_against_reference(random_lattice(2, m, m).basis)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rank_20_textbook_reduced(self, seed):
+        L = random_lattice(seed, 20, 20, entry_bound=20)
+        red = lll(L)
+        assert lll_violations(red.basis, F(3, 4)) == []
+        assert same_lattice(L.basis, red.basis)
 
 
 class TestMinkowski:
@@ -113,6 +150,19 @@ class TestExtendToBasis:
         assert len(got) == 3
         assert abs(linalg.det(got)) == 1
         assert got[0] == (1, 1, 0) and got[1] == (0, 1, 1)
+
+    def test_listing_without_a_vector_off_the_span(self, z2, monkeypatch):
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda L, r, node_budget: ShortVectorList(r, ()))
+        with pytest.raises(CertificationFailed):
+            extend_to_basis(z2, ((F(1), F(0)),))
+
+    def test_imprimitive_extension_rejected(self, z2, monkeypatch):
+        # a listing that offers only 2*e2 off the span of e1
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda L, r, node_budget: ShortVectorList(r, (((0, 2), F(4)),)))
+        with pytest.raises(CertificationFailed):
+            extend_to_basis(z2, ((F(1), F(0)),))
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),

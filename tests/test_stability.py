@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from latstab import (
+    CertificationFailed,
     DependentRows,
     DimensionMismatch,
     Lattice,
@@ -18,6 +19,7 @@ from latstab import (
     residual_amplification,
     round_in_dual_coordinates,
     sharpness_witness,
+    stability,
     stability_radius,
     transference_check,
 )
@@ -106,6 +108,43 @@ class TestAlmostNearLinear:
         assert rep.sigma_min_sq_lower == 2
         assert rep.correction_norm_sq * rep.sigma_min_sq_lower <= rep.residual_norm_sq
 
+    def test_one_gram_elimination_per_call(self, monkeypatch):
+        calls = []
+        real = linalg._eliminate
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        A, b, x = ((1, 0, 2), (0, 1, 1)), (1, 2), (F(1, 2), F(1, 3), F(1, 5))
+        residual_amplification(A, b, x)
+        assert len(calls) == 1
+        almost_near_linear(A, b, x)
+        assert len(calls) == 2
+
+    def test_wrong_solution_rejected(self, monkeypatch):
+        real = linalg.solve
+        monkeypatch.setattr(linalg, "solve",
+                            lambda M, b: tuple(a + F(1, 7) for a in real(M, b)))
+        with pytest.raises(CertificationFailed):
+            almost_near_linear(((F(1), F(1)),), (F(1),), (F(3, 5), F(3, 5)))
+
+    @pytest.mark.parametrize("y_nudge, inverse_scale", [(F(1, 7), 1), (0, F(1, 100))])
+    def test_residual_identities_checked(self, monkeypatch, y_nudge, inverse_scale):
+        """A nudged y breaks A (x - y) = r; a shrunken (AA^T)^-1 inflates the
+        sigma_min bound past correction^2 * sigma_min^2 <= residual^2."""
+        real = stability._nearest_solution
+
+        def wrong(A, b, x, with_inverse=False):
+            y, r, Ginv = real(A, b, x, with_inverse)
+            return ((y[0] + y_nudge, *y[1:]), r,
+                    tuple(tuple(g * inverse_scale for g in row) for row in Ginv))
+
+        monkeypatch.setattr(stability, "_nearest_solution", wrong)
+        with pytest.raises(CertificationFailed):
+            residual_amplification(((F(1), F(0), F(0)), (F(0), F(2), F(0))), (1, 2), (2, 1, 5))
+
 
 class TestTransference:
     def test_unit_lattices_satisfy_everything(self, z1, z2, z3):
@@ -186,6 +225,15 @@ class TestProbe:
     def test_delta_below_third(self, z1):
         with pytest.raises(ValueError):
             probe_worst_distance(z1, F(1, 3), F(1), FAST)
+
+
+    def test_infeasible_witness_rejected(self, z1, monkeypatch):
+        # the ascent's steps overshoot every slab by 1/3
+        real = linalg.vadd
+        monkeypatch.setattr(linalg, "vadd",
+                            lambda u, v: tuple(a + F(1, 3) for a in real(u, v)))
+        with pytest.raises(CertificationFailed):
+            probe_worst_distance(z1, F(1, 4), F(1), FAST)
 
 
 class TestStabilityRadius:
