@@ -195,7 +195,9 @@ def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> Suc
             achieving.append(coords)
             if len(chosen) == L.rank:
                 break
-    assert len(chosen) == L.rank, "the working basis rows alone reach full rank"
+    if len(chosen) != L.rank:
+        raise CertificationFailed(f"the listing up to the longest working row reaches "
+                                  f"rank {len(chosen)}, not {L.rank}")
     return SuccessiveMinima(minima_sq=tuple(minima), achieving_vectors=tuple(achieving))
 
 
@@ -217,7 +219,8 @@ def closest_vector(L: Lattice, x, project: bool = False,
         x_in = linalg.project_onto_rowspace(L.basis, x)
         extra = linalg.norm_sq(linalg.vsub(x, x_in))
         t = linalg.rowspace_coefficients(prep.rows, x_in)
-        assert t is not None
+        if t is None:
+            raise CertificationFailed("the projection of the target is outside span(L)")
     rounded = tuple(round(a) for a in t)
     start = linalg.norm_sq(linalg.vsub(linalg.vec_mat(as_vec(rounded), prep.rows),
                                        linalg.vec_mat(t, prep.rows)))
@@ -270,9 +273,12 @@ def _is_voronoi_relevant(L: Lattice, coords: tuple[int, ...],
     return sorted(tied) == sorted([tuple([0] * L.rank), coords])
 
 
-def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[list[Vec], Fraction, Vec]:
+@lru_cache(maxsize=256)
+def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...], Fraction, Vec]:
     """Vertices of the Voronoi cell of the origin (ambient coordinates),
-    the exact squared covering radius, and the witness vertex."""
+    the exact squared covering radius, and the witness vertex. Cached per
+    (lattice, budget): every probe level and covering radius of one run
+    shares one cell."""
     m = L.rank
     if m > 3:
         raise RankTooLarge(f"exact covering radius capped at rank 3, got {m}")
@@ -299,7 +305,8 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[list[Vec], Fract
             continue
         if all(linalg.dot(xi, a) <= rhs for a, rhs in constraints):
             vertices.add(xi)
-    assert vertices, "the Voronoi cell of a full-rank-in-span lattice has vertices"
+    if not vertices:
+        raise CertificationFailed("the Voronoi cell has no vertices")
     best_sq = Fraction(-1)
     witness_xi: Vec = ()
     verts_ambient = []
@@ -309,7 +316,7 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[list[Vec], Fract
         if vsq > best_sq or (vsq == best_sq and _greater_ambient(verts_ambient[-1], witness_xi)):
             best_sq = vsq
             witness_xi = verts_ambient[-1]
-    return verts_ambient, best_sq, witness_xi
+    return tuple(verts_ambient), best_sq, witness_xi
 
 
 def _greater_ambient(v: Vec, w: Vec) -> bool:

@@ -276,7 +276,8 @@ def clear_denominators(M: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def floor_sqrt(x: Fraction) -> int:
     """Largest integer t >= 0 with t*t <= x (x >= 0)."""
-    assert x >= 0
+    if x < 0:
+        raise ValueError(f"square root of a negative number {x}")
     return isqrt(x.numerator * x.denominator) // x.denominator
 
 

@@ -159,12 +159,12 @@ def _shortest_extendable(L: Lattice, chosen_coords: list[tuple[int, ...]],
 def minkowski_reduce(L: Lattice, max_rank: int = MINKOWSKI_MAX_RANK,
                      node_budget: int | None = None) -> ReducedBasis:
     """Greedy Minkowski reduction; exact, available up to max_rank."""
-    from .enumeration import DEFAULT_NODE_BUDGET
+    from .enumeration import DEFAULT_NODE_BUDGET, _prep
 
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if L.rank > max_rank:
         raise RankTooLarge(f"Minkowski reduction capped at rank {max_rank}, got {L.rank}")
-    start = max(linalg.norm_sq(r) for r in _lll_rows(L.basis, DEFAULT_DELTA)[0])
+    start = max(linalg.norm_sq(r) for r in _prep(L).rows)
     rows: list[Vec] = []
     coords: list[tuple[int, ...]] = []
     for _ in range(L.rank):

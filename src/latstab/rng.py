@@ -27,7 +27,8 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, so there is no modulo bias."""
-        assert n > 0
+        if n <= 0:
+            raise ValueError(f"need a positive range size, got {n}")
         limit = _MASK - (_MASK + 1) % n
         while True:
             u = self.next_u64()

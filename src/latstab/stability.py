@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
+from operator import mul
 
 from . import linalg
 from .enumeration import (
@@ -304,6 +305,39 @@ def sharpness_witness(L: Lattice, verify_radius_sq=Fraction(100),
     return SharpnessWitness(x=x, report=report, near=near)
 
 
+def _round_half_even(N: int, Q: int) -> int:
+    """round(Fraction(N, Q)) for Q > 0, ties to even, without the Fraction."""
+    k, r = divmod(N, Q)
+    if 2 * r > Q or (2 * r == Q and k % 2):
+        k += 1
+    return k
+
+
+class _Slabs:
+    """A probe's constraint vectors scaled once to integer rows over one
+    common denominator D, so that u.x = N_u / Q with integers N_u and
+    Q = D * lcm(denominators of x): slab tests compare integers."""
+
+    def __init__(self, U: list[Vec], delta: Fraction):
+        self.D = lcm(*(a.denominator for u in U for a in u))
+        self.rows = [[a.numerator * (self.D // a.denominator) for a in u] for u in U]
+        self.dn, self.dd = delta.numerator, delta.denominator
+
+    def products(self, x: Vec) -> tuple[list[int], int]:
+        q = lcm(*(a.denominator for a in x))
+        xz = [a.numerator * (q // a.denominator) for a in x]
+        return [sum(map(mul, u, xz)) for u in self.rows], self.D * q
+
+    def violated(self, Ns: list[int], Q: int) -> list[int]:
+        """Indices of the constraints whose N/Q lies farther than delta
+        from every integer."""
+        bound, dd = self.dn * Q, self.dd
+        return [i for i, N in enumerate(Ns) if min(N % Q, -N % Q) * dd > bound]
+
+    def feasible(self, x: Vec) -> bool:
+        return not self.violated(*self.products(x))
+
+
 def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
                          *, extra_starts: tuple[Vec, ...] = (),
                          _constraints: list[Vec] | None = None) -> tuple[Fraction, Vec]:
@@ -332,49 +366,59 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
     else:
         U = _constraints
 
-    def feasible(x: Vec) -> bool:
-        return all(dist_to_integers(linalg.dot(u, x)) <= delta for u in U)
+    slabs = _Slabs(U, delta)
+    dn, dd = slabs.dn, slabs.dd
 
     def repair(x: Vec) -> Vec | None:
         for _ in range(4):
+            Ns, Q = slabs.products(x)
+            bad = slabs.violated(Ns, Q)
+            if not bad:
+                return x
             rows: list[Vec] = []
             targets: list[Fraction] = []
-            clean = True
-            for u in U:
-                val = linalg.dot(u, x)
-                k = round(val)
-                if abs(val - k) <= delta:
-                    continue
-                clean = False
+            echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
+            for i in bad:
                 if len(rows) == n:
-                    continue
-                cand = rows + [u]
-                if linalg.rank(as_mat(cand)) == len(cand):
-                    rows.append(u)
-                    targets.append(k - delta if val < k else k + delta)
-            if clean:
-                return x
+                    break
+                v = slabs.rows[i]
+                for j, e in echelon:
+                    if v[j]:
+                        v = [e[j] * a - v[j] * b for a, b in zip(v, e)]
+                pivot = next((j for j, a in enumerate(v) if a), None)
+                if pivot is not None:
+                    echelon.append((pivot, v))
+                    rows.append(U[i])
+                    k = _round_half_even(Ns[i], Q)
+                    targets.append(k - delta if Ns[i] < k * Q else k + delta)
             if not rows:
                 return None
             x = almost_near_linear(as_mat(rows), as_vec(targets), x)
-        return x if feasible(x) else None
+        return x if slabs.feasible(x) else None
 
     def push(x: Vec, d: Vec) -> list[Vec]:
         """Candidate points farther from the current nearest dual vector,
         staying inside the current branch slabs."""
-        limit: Fraction | None = None
-        for u in U:
-            a = linalg.dot(u, d)
-            if a == 0:
+        # with u.x = N/Q and u.d = A/Qd, the step to the face k +- delta is
+        # ((k dd +- dn) Q - N dd) / A times the common positive Qd / (dd Q)
+        Ns, Q = slabs.products(x)
+        As, Qd = slabs.products(d)
+        num = den = 0
+        for N, A in zip(Ns, As):
+            if A == 0:
                 continue
-            val = linalg.dot(u, x)
-            k = round(val)
-            lim = (k + delta - val) / a if a > 0 else (k - delta - val) / a
-            limit = lim if limit is None else min(limit, lim)
-        if limit is None:
+            k = _round_half_even(N, Q)
+            if A > 0:
+                a, b = (k * dd + dn) * Q - N * dd, A
+            else:
+                a, b = N * dd - (k * dd - dn) * Q, -A
+            if not den or a * den < num * b:
+                num, den = a, b
+        if not den:
             return [linalg.vadd(x, linalg.vscale(Fraction(2) ** j, d)) for j in range(6)]
-        if limit <= 0:
+        if num <= 0:
             return []
+        limit = Fraction(num * Qd, den * dd * Q)
         return [linalg.vadd(x, linalg.vscale(limit, d)),
                 linalg.vadd(x, linalg.vscale(limit / 2, d))]
 
@@ -426,7 +470,8 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
         f, w = got
         if f > best[0] or (f == best[0] and w < best[1]):
             best = (f, w)
-    if not feasible(best[1]):
+    # certified independently of the integer slab tests, in plain Fractions
+    if not all(dist_to_integers(linalg.dot(u, best[1])) <= delta for u in U):
         raise CertificationFailed(f"the probe witness violates the hypothesis at "
                                   f"radius^2 {radius_sq}")
     return best
@@ -507,7 +552,9 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
             f_hats[i] = f_hats[i + 1]
             witnesses[i] = witnesses[i + 1]
     estimated = next((r2 for r2, f in zip(levels, f_hats) if f <= epsilon_sq), None)
-    assert estimated is not None, "the top level sits at the analytic sufficient radius"
+    if estimated is None:
+        raise CertificationFailed(f"the probe exceeds epsilon^2 {epsilon_sq} at the "
+                                  f"analytic sufficient radius^2 {levels[-1]}")
     return StabilityProbe(
         delta=delta,
         epsilon_sq=epsilon_sq,

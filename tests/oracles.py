@@ -1,15 +1,24 @@
-"""Brute-force reference implementations for cross-checking enumeration.
+"""Brute-force reference implementations for cross-checking enumeration,
+LLL and the probe.
 
 Everything here trades speed for obviousness: coordinate boxes derived from
 the Cauchy-Schwarz bound |c_i| <= ||v|| ||w_i|| (w_i the dual rows) are
-scanned exhaustively, with no pruning and no recursion.
+scanned exhaustively, with no pruning and no recursion; the LLL and the
+probe are earlier, slower versions kept as exact references.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
-from latstab import Lattice, dual
+from latstab import CertificationFailed, Lattice, ProbeConfig, dual
 from latstab import linalg
+from latstab.enumeration import _voronoi_vertex_data, closest_vector, list_vectors
+from latstab.lattice import dist_to_integers
+from latstab.linalg import Vec, as_mat, as_vec
+from latstab.rng import SplitMix64
+from latstab.stability import HALF, THIRD, almost_near_linear
 
 
 def _canonical_sign(coords):
@@ -124,3 +133,122 @@ def same_lattice(B1, B2) -> bool:
             if c is None or any(a.denominator != 1 for a in c):
                 return False
     return True
+
+
+def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
+                                   *, extra_starts=(), _constraints=None):
+    """probe_worst_distance with every slab test an ambient Fraction dot
+    product and every independence test a full rank: the same starts, moves
+    and tie-breaks, so the result must be identical."""
+    cfg = cfg or ProbeConfig()
+    delta = linalg.as_rational(delta)
+    radius_sq = linalg.as_rational(radius_sq)
+    if not 0 <= delta < THIRD:
+        raise ValueError(f"delta must be in [0, 1/3), got {delta}")
+    Ld = dual(L)
+    W = Ld.basis
+    m, n = L.rank, L.ambient_dim
+    if _constraints is None:
+        reps = list_vectors(L, radius_sq, node_budget=cfg.node_budget).vectors
+        U = [linalg.vec_mat(as_vec(c), L.basis) for c, _ in reps]
+    else:
+        U = _constraints
+
+    def feasible(x: Vec) -> bool:
+        return all(dist_to_integers(linalg.dot(u, x)) <= delta for u in U)
+
+    def repair(x: Vec) -> Vec | None:
+        for _ in range(4):
+            rows: list[Vec] = []
+            targets: list[Fraction] = []
+            clean = True
+            for u in U:
+                val = linalg.dot(u, x)
+                k = round(val)
+                if abs(val - k) <= delta:
+                    continue
+                clean = False
+                if len(rows) == n:
+                    continue
+                cand = rows + [u]
+                if linalg.rank(as_mat(cand)) == len(cand):
+                    rows.append(u)
+                    targets.append(k - delta if val < k else k + delta)
+            if clean:
+                return x
+            if not rows:
+                return None
+            x = almost_near_linear(as_mat(rows), as_vec(targets), x)
+        return x if feasible(x) else None
+
+    def push(x: Vec, d: Vec) -> list[Vec]:
+        """Candidate points farther from the current nearest dual vector,
+        staying inside the current branch slabs."""
+        limit: Fraction | None = None
+        for u in U:
+            a = linalg.dot(u, d)
+            if a == 0:
+                continue
+            val = linalg.dot(u, x)
+            k = round(val)
+            lim = (k + delta - val) / a if a > 0 else (k - delta - val) / a
+            limit = lim if limit is None else min(limit, lim)
+        if limit is None:
+            return [linalg.vadd(x, linalg.vscale(Fraction(2) ** j, d)) for j in range(6)]
+        if limit <= 0:
+            return []
+        return [linalg.vadd(x, linalg.vscale(limit, d)),
+                linalg.vadd(x, linalg.vscale(limit / 2, d))]
+
+    def local_max(x0: Vec) -> tuple[Fraction, Vec] | None:
+        x = repair(x0)
+        if x is None:
+            return None
+        best: tuple[Fraction, Vec] | None = None
+        for _ in range(cfg.max_iters):
+            near = closest_vector(Ld, x, node_budget=cfg.node_budget)
+            f = near.dist_sq
+            if best is not None and f <= best[0]:
+                break
+            best = (f, x)
+            d = linalg.vsub(x, near.point)
+            if not any(d):
+                break
+            stepped = None
+            for cand in push(x, d):
+                fc = closest_vector(Ld, cand, node_budget=cfg.node_budget).dist_sq
+                if fc > f and (stepped is None or fc > stepped[0]):
+                    stepped = (fc, cand)
+            if stepped is None:
+                break
+            x = stepped[1]
+        return best
+
+    starts: list[Vec] = [linalg.zeros(n)]
+    if m <= 3:
+        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
+    if m <= 4:
+        masks = range(1, 2**m)
+    else:
+        masks = [1 << i for i in range(m)] + [2**m - 1]
+    for mask in masks:
+        sel = as_vec([HALF if mask >> i & 1 else 0 for i in range(m)])
+        starts.append(linalg.vec_mat(sel, W))
+    starts += [as_vec(s) for s in extra_starts]
+    rng = SplitMix64(cfg.seed)
+    for _ in range(cfg.restarts):
+        t = as_vec([rng.fraction() for _ in range(m)])
+        starts.append(linalg.vec_mat(t, W))
+
+    best: tuple[Fraction, Vec] = (Fraction(0), linalg.zeros(n))
+    for s in starts:
+        got = local_max(s)
+        if got is None:
+            continue
+        f, w = got
+        if f > best[0] or (f == best[0] and w < best[1]):
+            best = (f, w)
+    if not feasible(best[1]):
+        raise CertificationFailed(f"the probe witness violates the hypothesis at "
+                                  f"radius^2 {radius_sq}")
+    return best

@@ -16,6 +16,7 @@ from latstab import (
     shortest_vector,
     successive_minima,
 )
+from latstab.enumeration import ShortVectorList
 from conftest import seeded_lattices
 from oracles import box_closest, box_minima, box_vectors
 
@@ -57,6 +58,12 @@ class TestShortestAndMinima:
         mins = successive_minima(z3)
         assert linalg.rank(linalg.as_mat(mins.achieving_vectors)) == 3
 
+    def test_listing_short_of_full_rank_rejected(self, z2, monkeypatch):
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda L, r, node_budget: ShortVectorList(r, (((1, 0), F(1)),)))
+        with pytest.raises(CertificationFailed):
+            successive_minima(z2)
+
 
 class TestClosestVector:
     def test_frozen_interior(self, z2):
@@ -82,6 +89,12 @@ class TestClosestVector:
         near = closest_vector(L, (F(1, 4), 1), project=True)
         assert near.point == (0, 0)
         assert near.dist_sq == F(17, 16)
+
+    def test_projection_off_the_span_rejected(self, monkeypatch):
+        L = Lattice(((F(1), F(0)),))
+        monkeypatch.setattr(linalg, "project_onto_rowspace", lambda B, x: x)
+        with pytest.raises(CertificationFailed):
+            closest_vector(L, (F(1, 4), 1), project=True)
 
     def test_matches_box_oracle(self):
         lattices = seeded_lattices(303, 10, n_max=3, entry_bound=3)
@@ -133,6 +146,17 @@ class TestCoveringRadius:
                             lambda L, budget: (verts, mu_sq, (F(1, 2), F(1, 4))))
         with pytest.raises(CertificationFailed):
             covering_radius(z2)
+
+    def test_cell_without_vertices_rejected(self, z2, monkeypatch):
+        monkeypatch.setattr(enumeration, "_is_voronoi_relevant", lambda L, c, budget: False)
+        with pytest.raises(CertificationFailed):
+            covering_radius(z2)
+
+    def test_cell_cached_per_lattice_and_immutable(self, z2):
+        first = enumeration._voronoi_vertex_data(z2, 10_000)
+        assert isinstance(first[0], tuple)
+        assert enumeration._voronoi_vertex_data(Lattice(z2.basis), 10_000) is first
+        assert enumeration._voronoi_vertex_data.cache_info().misses == 1
 
     def test_exact_capped_at_rank_three(self):
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))

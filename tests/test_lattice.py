@@ -16,6 +16,7 @@ from latstab import (
     is_member,
     linalg,
 )
+from latstab.rng import SplitMix64
 
 
 class TestDistToIntegers:
@@ -107,3 +108,9 @@ class TestConstruction:
     def test_from_generators_rational(self):
         L = Lattice.from_generators(((F(1, 2), 0), (F(1, 3), 0)))
         assert L.basis == ((F(1, 6), F(0)),)
+
+
+class TestSplitMix64:
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError):
+            SplitMix64(1).below(0)

@@ -127,6 +127,10 @@ class TestIntegerSqrt:
         assert linalg.ceil_sqrt(F(1, 4)) == 1
         assert linalg.ceil_sqrt(F(17, 4)) == 3
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.ceil_sqrt(F(-1, 4))
+
 
 @given(st.lists(st.lists(st.integers(-7, 7), min_size=3, max_size=3),
                 min_size=3, max_size=3))

@@ -107,6 +107,21 @@ class TestMinkowski:
         with pytest.raises(RankTooLarge):
             minkowski_reduce(Lattice(rows))
 
+    def test_one_lll_per_reduction(self, monkeypatch):
+        from latstab import reduction
+
+        calls = []
+
+        def counted(rows, delta):
+            calls.append(rows)
+            return _lll_rows(rows, delta)
+
+        monkeypatch.setattr(reduction, "_lll_rows", counted)
+        monkeypatch.setattr(enumeration, "_lll_rows", counted)
+        red = minkowski_reduce(random_lattice(7, 3, 3))
+        assert len(calls) == 1
+        assert red.basis == ((2, -2, 2), (4, 4, 2), (6, 1, -7))
+
     def test_norms_sorted_nondecreasing(self):
         red = minkowski_reduce(Lattice(((F(5), F(3)), (F(2), F(1)))))
         assert list(red.norms_sq) == sorted(red.norms_sq)

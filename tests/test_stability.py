@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latstab import (
     CertificationFailed,
@@ -12,10 +13,12 @@ from latstab import (
     almost_near_linear,
     check_hypothesis,
     degenerate_family,
+    dual,
     linalg,
     list_vectors,
     near_dual_vector,
     probe_worst_distance,
+    random_lattice,
     residual_amplification,
     round_in_dual_coordinates,
     sharpness_witness,
@@ -23,6 +26,11 @@ from latstab import (
     stability_radius,
     transference_check,
 )
+from latstab.enumeration import _voronoi_vertex_data
+from latstab.lattice import dist_to_integers
+from latstab.stability import _round_half_even, _Slabs
+from conftest import seeded_lattices
+from oracles import reference_probe_worst_distance
 
 FAST = ProbeConfig(seed=0, restarts=8)
 
@@ -236,6 +244,53 @@ class TestProbe:
             probe_worst_distance(z1, F(1, 4), F(1), FAST)
 
 
+class TestProbeMatchesFractionReference:
+    """The integer slab tests and the incremental independence test in the
+    probe make exactly the moves of the all-Fraction reference."""
+
+    def test_seeded_lattices(self, mixed2):
+        lattices = [mixed2] + seeded_lattices(4040, 8, n_max=3, entry_bound=3)
+        deltas = [F(0), F(1, 5), F(1, 4), F(3, 10)]
+        for i, L in enumerate(lattices):
+            top = 4 * max(linalg.norm_sq(r) for r in L.basis)
+            norms = sorted({nsq for _, nsq in list_vectors(L, top)})
+            for j, r2 in enumerate((norms[0], norms[min(2, len(norms) - 1)])):
+                delta = deltas[(i + j) % len(deltas)]
+                want = reference_probe_worst_distance(L, delta, r2, FAST)
+                assert probe_worst_distance(L, delta, r2, FAST) == want, (L.basis, delta, r2)
+
+    def test_rounding_ties(self, z2, skew2):
+        # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2
+        for L in (z2, skew2):
+            W = dual(L).basis
+            tie = linalg.vadd(linalg.vscale(F(1, 2), W[0]), linalg.vscale(F(3, 2), W[1]))
+            for delta in (F(0), F(1, 4)):
+                got = probe_worst_distance(L, delta, F(2), FAST, extra_starts=(tie,))
+                want = reference_probe_worst_distance(L, delta, F(2), FAST, extra_starts=(tie,))
+                assert got == want
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+deltas_below_half = st.fractions(min_value=0, max_value=F(1, 2),
+                                 max_denominator=12).filter(lambda d: d < F(1, 2))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 1000))
+def test_round_half_even_matches_fraction_round(N, Q):
+    assert _round_half_even(N, Q) == round(F(N, Q))
+
+
+def _same_length_pair(n):
+    vec = st.lists(rationals, min_size=n, max_size=n)
+    return st.tuples(vec, vec)
+
+
+@given(st.integers(1, 3).flatmap(_same_length_pair), deltas_below_half)
+def test_integer_slab_test_matches_fraction(ux, delta):
+    u, x = (linalg.as_vec(v) for v in ux)
+    assert _Slabs([u], delta).feasible(x) == (dist_to_integers(linalg.dot(u, x)) <= delta)
+
+
 class TestStabilityRadius:
     def test_line_frozen_curve(self, z1):
         probe = stability_radius(z1, F(1, 4), F(1, 100), FAST)
@@ -259,6 +314,18 @@ class TestStabilityRadius:
         assert probe.estimated_r_sq <= probe.sufficient_radius_sq
         assert probe.sufficient_bound_sq <= F(1, 100)
         assert probe.f_hat_sq[-1] <= F(1, 100)
+
+    def test_one_voronoi_cell_per_lattice(self):
+        L = random_lattice(11, 3, 3)
+        probe = stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=3)
+        assert len(probe.radius_grid) == 3
+        assert _voronoi_vertex_data.cache_info().misses == 1
+
+    def test_curve_that_never_dips_rejected(self, z1, monkeypatch):
+        monkeypatch.setattr(stability, "probe_worst_distance",
+                            lambda L, delta, r2, cfg, **kw: (F(1), (F(0),)))
+        with pytest.raises(CertificationFailed):
+            stability_radius(z1, F(1, 4), F(1, 100), FAST)
 
     def test_parameters_validated(self, z1):
         with pytest.raises(ValueError):
