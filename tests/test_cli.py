@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,8 +6,10 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latstab
 from latstab import parse_lattice_file, parse_lattice_text
@@ -234,6 +237,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "shape" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("dual", "L/x"),
+        ("gen", "--seed", "7", "--n", "3", "--m", "3", "-o", "L/out"),
+    ])
+    def test_os_error(self, run, mixed_file, argv):
+        # mixed.txt is a file, so a path under it is NotADirectoryError
+        code, out, err = run(*[a.replace("L", mixed_file) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Not a directory" in err
+
     def test_dimension_mismatch_under_optimize(self, mixed_file):
         # -O strips asserts, so the check must be an explicit error
         src = str(Path(latstab.__file__).resolve().parents[1])
@@ -255,6 +268,8 @@ class TestExitCodes:
         (None, ("minima", "L", "--node-budget", "0")),
         (None, ("minima", "L", "--node-budget", "-1")),
         ("0", ("minima", "L")),
+        (None, ("family", "--d", "")),
+        (None, ("family", "--d", ",")),
     ])
     def test_bad_counts(self, run, mixed_file, monkeypatch, budget_env, argv):
         if budget_env is not None:
@@ -262,3 +277,73 @@ class TestExitCodes:
         code, out, err = run(*[mixed_file if a == "L" else a for a in argv])
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "at least" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+RATIONALS = ["1/4", "1/5", "1/100", "4", "0", "-3", "0.25", "x", ""]
+VECTORS = ["1/3 0", "2/5 3/5", "1/2 1/5", "1 2 3", "1 a", ""]
+COUNTS = ["1", "3", "0", "-1", "x"]
+MIXED = str(GOLDEN / "mixed.txt")
+LATTICES = [MIXED, MIXED, str(GOLDEN / "g732.txt"), str(GOLDEN / "missing.txt"), str(GOLDEN),
+            os.path.join(MIXED, "x"), None]
+# subcommand -> (takes a lattice, {flag: tokens, or None for a switch}); the
+# restart and level counts are always given, so that no run is expensive
+FUZZ_FLAGS = {
+    "dual": (True, {}),
+    "minima": (True, {"--csv": None, "--node-budget": COUNTS}),
+    "reduce": (True, {"--kind": ["lll", "minkowski", "other"], "--delta": RATIONALS}),
+    "svp": (True, {"--r2": RATIONALS, "--csv": None}),
+    "cvp": (True, {"-x": VECTORS, "--project": None}),
+    "covering": (True, {"--mode": ["exact", "heuristic"], "--restarts": ["0", "0", "-1"],
+                        "--seed": COUNTS}),
+    "transference": (True, {"--seed": COUNTS}),
+    "hypothesis": (True, {"-x": VECTORS, "--delta": RATIONALS, "--r2": RATIONALS}),
+    "round-dual": (True, {"-x": VECTORS}),
+    "near-dual": (True, {"-x": VECTORS}),
+    "probe": (True, {"--delta": RATIONALS, "--r2": RATIONALS, "--restarts": ["0", "0", "-1"],
+                     "--iters": COUNTS}),
+    "stability-radius": (True, {"--delta": RATIONALS, "--eps2": RATIONALS,
+                                "--restarts": ["0"], "--max-levels": ["1", "0", "-1"],
+                                "--csv": None}),
+    "sharpness": (True, {"--r2": RATIONALS}),
+    "family": (False, {"--c": RATIONALS, "--d": ["1,10", "1/2", "", ",", "3,x"],
+                       "--delta": RATIONALS, "--eps2": RATIONALS,
+                       "--restarts": ["0", "0", "-1"], "--csv": None}),
+    "gen": (False, {"--seed": COUNTS, "--n": COUNTS, "--m": COUNTS,
+                    "--entry-bound": COUNTS, "--min-l1sq": RATIONALS}),
+    "linear-almost-near": (False, {"--matrix": ["1 1", "1 0; 0 1", "1 2; 2 4", "1 2; 3", ";"],
+                                   "-b": VECTORS, "-x": VECTORS, "--seed": COUNTS}),
+}
+ALWAYS = {"--restarts", "--max-levels"}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    takes_lattice, flags = FUZZ_FLAGS[command]
+    argv = [command]
+    if takes_lattice and (path := draw(st.sampled_from(LATTICES))) is not None:
+        argv.append(path)
+    for flag, tokens in flags.items():
+        if flag in ALWAYS or draw(st.integers(0, 3)):
+            argv += [flag] if tokens is None else [flag, draw(st.sampled_from(tokens))]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True)  # the same argv on every run
+@given(cli_argv())
+def test_fuzz_exit_codes(argv):
+    """Any argv exits 0, 1 or 2, never with a traceback; exit 2 is one line.
+    main runs in process, so an exception it lets out fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"LATSTAB_NODE_BUDGET": "5000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        if "--csv" not in argv:
+            assert doc_of(out.getvalue())["command"] == argv[0]
