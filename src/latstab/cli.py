@@ -243,7 +243,8 @@ def _cmd_stability_radius(args, L):
     curve = list(zip(probe.radius_grid, probe.f_hat_sq))
     results = {k: getattr(probe, k) for k in (
         "delta", "epsilon_sq", "estimated_r_sq", "base_radius_sq", "base_bound_sq",
-        "sufficient_radius_sq", "sufficient_bound_sq", "scaling_steps", "reduction_kind")}
+        "sufficient_radius_sq", "sufficient_bound_sq", "scaling_steps", "reduction_kind",
+        "levels_dropped")}
     results["grid"] = [{"radius_sq": r, "f_hat_sq": f, "witness": w}
                        for (r, f), w in zip(curve, probe.witnesses)]
     results["display"] = {"estimated_r": sqrt(probe.estimated_r_sq), "curve": curve}

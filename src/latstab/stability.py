@@ -493,6 +493,7 @@ class StabilityProbe:
     sufficient_bound_sq: Fraction
     scaling_steps: int
     reduction_kind: str           # "minkowski", or "lll" above the rank cap (weaker bound)
+    levels_dropped: int           # grid levels below the top one that max_levels left out
 
 
 def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = None,
@@ -536,7 +537,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     uvecs = [linalg.vec_mat(as_vec(c), L.basis) for c, _ in all_vecs.vectors]
     norms = [nsq for _, nsq in all_vecs.vectors]
     levels = sorted(set(norms))
-    if len(levels) > max_levels:
+    levels_dropped = max(0, len(levels) - max_levels)
+    if levels_dropped:
         levels = levels[: max_levels - 1] + [levels[-1]]
 
     f_hats: list[Fraction] = []
@@ -570,6 +572,7 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         sufficient_bound_sq=suff_bound_sq,
         scaling_steps=K,
         reduction_kind=red.kind,
+        levels_dropped=levels_dropped,
     )
 
 

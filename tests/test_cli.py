@@ -125,6 +125,10 @@ class TestCommands:
         doc = doc_of(out)
         assert doc["results"]["estimated_r_sq"] == "9"
         assert [g["radius_sq"] for g in doc["results"]["grid"]] == ["1", "4", "9"]
+        assert doc["results"]["levels_dropped"] == 0
+        _, out, _ = run("stability-radius", str(path), "--delta", "1/4",
+                        "--eps2", "1/100", "--restarts", "4", "--max-levels", "2")
+        assert doc_of(out)["results"]["levels_dropped"] == 1
 
     def test_sharpness(self, run, mixed_file):
         code, out, _ = run("sharpness", mixed_file)

@@ -299,6 +299,7 @@ class TestStabilityRadius:
         assert probe.estimated_r_sq == 9
         assert probe.scaling_steps == 3
         assert probe.reduction_kind == "minkowski"
+        assert probe.levels_dropped == 0
 
     def test_curve_monotone_and_witnessed(self, z2):
         probe = stability_radius(z2, F(1, 4), F(1, 100), FAST)
@@ -320,6 +321,17 @@ class TestStabilityRadius:
         probe = stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=3)
         assert len(probe.radius_grid) == 3
         assert _voronoi_vertex_data.cache_info().misses == 1
+
+    def test_levels_dropped(self, mixed2):
+        # the norms 4a^2 + b^2/4 of mixed2 up to its sufficient radius^2 256
+        norms = {F(4 * a * a) + F(b * b, 4) for a in range(9) for b in range(33)}
+        levels = len([q for q in norms if 0 < q <= 256])
+        assert levels == 152
+        for max_levels in (1, 4):
+            probe = stability_radius(mixed2, F(1, 4), F(1, 100), FAST, max_levels=max_levels)
+            assert probe.sufficient_radius_sq == 256
+            assert len(probe.radius_grid) == max_levels
+            assert probe.levels_dropped == levels - max_levels
 
     def test_curve_that_never_dips_rejected(self, z1, monkeypatch):
         monkeypatch.setattr(stability, "probe_worst_distance",
