@@ -426,21 +426,28 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(e: Exception) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser(_env_budget()).parse_args(argv)
-        t0 = time.perf_counter()
-        given = vars(args)
-        L = None
+    except SystemExit as e:  # argparse: usage errors, --help, --version
+        return int(e.code or 0)
+    except ParseError as e:  # a bad LATSTAB_NODE_BUDGET
+        return _fail(e)
+    t0 = time.perf_counter()
+    given = vars(args)
+    L = None
+    try:
         if "lattice" in given:
             path = args.lattice
             L = parse_lattice_text(sys.stdin.read()) if path == "-" else parse_lattice_file(path)
         results, code, rows = args.func(args, L)
-    except SystemExit as e:
-        return int(e.code or 0)
     except (LatticeError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(e)
     if getattr(args, "csv", False):
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return code
