@@ -109,30 +109,30 @@ def _parse_scales(text: str) -> list[Fraction]:
     return scales
 
 
-def _arg_count(least: int):
-    """argparse type for an integer of at least `least`."""
+def _count(least: int):
+    """Parser of an integer of at least `least`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+            raise ParseError(f"must be an integer, got {text!r}") from None
         if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+            raise ParseError(f"must be at least {least}, got {value}")
         return value
     return parse
 
 
 _rational = _arg(parse_rational)
 _vector = _arg(parse_vector)
-_positive = _arg_count(1)
-_nonnegative = _arg_count(0)
+_positive = _arg(_count(1))
+_nonnegative = _arg(_count(0))
 
 
 def _env_budget() -> int:
     raw = os.environ.get("LATSTAB_NODE_BUDGET")
     try:
-        return DEFAULT_NODE_BUDGET if raw is None else _positive(raw)
-    except argparse.ArgumentTypeError as e:
+        return DEFAULT_NODE_BUDGET if raw is None else _count(1)(raw)
+    except ParseError as e:
         raise ParseError(f"LATSTAB_NODE_BUDGET {e}") from None
 
 
