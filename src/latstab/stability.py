@@ -313,6 +313,41 @@ def _round_half_even(N: int, Q: int) -> int:
     return k
 
 
+def _scaled(x: Vec) -> tuple[list[int], int]:
+    """(xz, q) with x = xz / q, q the lcm of the denominators of x."""
+    q = lcm(*(a.denominator for a in x))
+    return [a.numerator * (q // a.denominator) for a in x], q
+
+
+def _bareiss(M: list[list[int]]) -> tuple[int, list[int]]:
+    """(det H, det H * H^-1 rho) for an integer system M = [H | rho], M overwritten:
+    fraction-free (Bareiss) elimination, then exact integer back-substitution."""
+    k, det = len(M), 1
+    for p in range(k):
+        if not M[p][p]:
+            raise DependentRows("the system matrix must have independent rows")
+        for i in range(p + 1, k):
+            M[i] = [(M[p][p] * a - M[i][p] * b) // det for a, b in zip(M[i], M[p])]
+        det = M[p][p]
+    sigma = [0] * k
+    for i in range(k - 1, -1, -1):
+        sigma[i] = (det * M[i][k] - sum(M[i][j] * sigma[j] for j in range(i + 1, k))) // M[i][i]
+    return det, sigma
+
+
+def _slab_step(R: list[list[int]], T: list[int], D: int, dd: int, x: Vec) -> Vec:
+    """almost_near_linear(R / D, T / dd, x) for independent integer rows R,
+    in integers: with x = xz / q, H = R R^T and rho = R xz dd - T D q,
+    y = (xz dd det H - R^T sigma) / (q dd det H) for sigma = det H * H^-1 rho."""
+    xz, q = _scaled(x)
+    det, sigma = _bareiss([[sum(map(mul, a, b)) for b in R]
+                           + [sum(map(mul, a, xz)) * dd - t * D * q] for a, t in zip(R, T)])
+    ynum = [a * dd * det - sum(map(mul, sigma, col)) for a, col in zip(xz, zip(*R))]
+    if any(sum(map(mul, r, ynum)) != t * D * q * det for r, t in zip(R, T)):
+        raise CertificationFailed("the corrected point does not solve A y = b")
+    return tuple(Fraction(a, q * dd * det) for a in ynum)
+
+
 class _Slabs:
     """A probe's constraint vectors scaled once to integer rows over one
     common denominator D, so that u.x = N_u / Q with integers N_u and
@@ -324,15 +359,14 @@ class _Slabs:
         self.dn, self.dd = delta.numerator, delta.denominator
 
     def products(self, x: Vec) -> tuple[list[int], int]:
-        q = lcm(*(a.denominator for a in x))
-        xz = [a.numerator * (q // a.denominator) for a in x]
+        xz, q = _scaled(x)
         return [sum(map(mul, u, xz)) for u in self.rows], self.D * q
 
     def violated(self, Ns: list[int], Q: int) -> list[int]:
         """Indices of the constraints whose N/Q lies farther than delta
-        from every integer."""
-        bound, dd = self.dn * Q, self.dd
-        return [i for i, N in enumerate(Ns) if min(N % Q, -N % Q) * dd > bound]
+        from every integer: (N/Q + delta) mod 1 > 2 delta, as delta < 1/2."""
+        dd, shift, period, bound = self.dd, self.dn * Q, self.dd * Q, 2 * self.dn * Q
+        return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
 
     def feasible(self, x: Vec) -> bool:
         return not self.violated(*self.products(x))
@@ -375,8 +409,8 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
             bad = slabs.violated(Ns, Q)
             if not bad:
                 return x
-            rows: list[Vec] = []
-            targets: list[Fraction] = []
+            rows: list[list[int]] = []
+            targets: list[int] = []  # u_i.y = targets[i] / dd on the nearest slab face
             echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
             for i in bad:
                 if len(rows) == n:
@@ -388,12 +422,12 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
                 pivot = next((j for j, a in enumerate(v) if a), None)
                 if pivot is not None:
                     echelon.append((pivot, v))
-                    rows.append(U[i])
+                    rows.append(slabs.rows[i])
                     k = _round_half_even(Ns[i], Q)
-                    targets.append(k - delta if Ns[i] < k * Q else k + delta)
+                    targets.append(k * dd - dn if Ns[i] < k * Q else k * dd + dn)
             if not rows:
                 return None
-            x = almost_near_linear(as_mat(rows), as_vec(targets), x)
+            x = _slab_step(rows, targets, slabs.D, dd, x)
         return x if slabs.feasible(x) else None
 
     def push(x: Vec, d: Vec) -> list[Vec]:

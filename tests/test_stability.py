@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latstab import (
     CertificationFailed,
@@ -28,7 +28,7 @@ from latstab import (
 )
 from latstab.enumeration import _voronoi_vertex_data
 from latstab.lattice import dist_to_integers
-from latstab.stability import _round_half_even, _Slabs
+from latstab.stability import _round_half_even, _slab_step, _Slabs
 from conftest import seeded_lattices
 from oracles import reference_probe_worst_distance
 
@@ -235,6 +235,18 @@ class TestProbe:
             probe_worst_distance(z1, F(1, 3), F(1), FAST)
 
 
+    def test_wrong_repair_step_rejected(self, z2, monkeypatch):
+        # the half-vector starts violate their slabs, so every one is repaired
+        real = stability._bareiss
+
+        def wrong(M):
+            det, sigma = real(M)
+            return det, [sigma[0] + 1, *sigma[1:]]
+
+        monkeypatch.setattr(stability, "_bareiss", wrong)
+        with pytest.raises(CertificationFailed, match="does not solve A y = b"):
+            probe_worst_distance(z2, F(1, 4), F(1), FAST)
+
     def test_infeasible_witness_rejected(self, z1, monkeypatch):
         # the ascent's steps overshoot every slab by 1/3
         real = linalg.vadd
@@ -249,7 +261,9 @@ class TestProbeMatchesFractionReference:
     probe make exactly the moves of the all-Fraction reference."""
 
     def test_seeded_lattices(self, mixed2):
-        lattices = [mixed2] + seeded_lattices(4040, 8, n_max=3, entry_bound=3)
+        # the last two are bases of the radius-sweep benchmark's kind
+        lattices = ([mixed2] + seeded_lattices(4040, 8, n_max=3, entry_bound=3)
+                    + [random_lattice(s, 3, 3, min_lambda1_sq=16) for s in (1001, 2003)])
         deltas = [F(0), F(1, 5), F(1, 4), F(3, 10)]
         for i, L in enumerate(lattices):
             top = 4 * max(linalg.norm_sq(r) for r in L.basis)
@@ -278,6 +292,32 @@ deltas_below_half = st.fractions(min_value=0, max_value=F(1, 2),
 @given(st.integers(-10**6, 10**6), st.integers(1, 1000))
 def test_round_half_even_matches_fraction_round(N, Q):
     assert _round_half_even(N, Q) == round(F(N, Q))
+
+
+@st.composite
+def _slab_systems(draw):
+    """Independent integer rows R (k <= n <= 4), integer targets T, common
+    denominators D and dd, and a rational x."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    R = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    assume(linalg.rank(linalg.as_mat(R)) == k)
+    T = draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k))
+    x = draw(st.lists(rationals, min_size=n, max_size=n))
+    return R, T, draw(st.integers(1, 12)), draw(st.integers(1, 12)), linalg.as_vec(x)
+
+
+@given(_slab_systems())
+def test_integer_repair_step_matches_almost_near_linear(system):
+    R, T, D, dd, x = system
+    want = almost_near_linear([[F(a, D) for a in r] for r in R], [F(t, dd) for t in T], x)
+    assert _slab_step(R, T, D, dd, x) == want
+
+
+def test_integer_repair_step_rejects_dependent_rows():
+    with pytest.raises(DependentRows):
+        _slab_step([[1, 2], [2, 4]], [1, 1], 1, 4, (F(1, 3), F(0)))
 
 
 def _same_length_pair(n):
