@@ -448,21 +448,25 @@ def main(argv=None) -> int:
         results, code, rows = args.func(args, L)
     except (LatticeError, OSError, ValueError) as e:
         return _fail(e)
-    if getattr(args, "csv", False):
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-        return code
-    doc = {"schema": 1, "command": args.command, "results": results,
-           "inputs": {k: given[k] for k in args.inputs if k in given}}
-    if L is not None:
-        doc["inputs"]["basis"] = L.basis
-    if "seed" in given:
-        doc["seed"] = args.seed
-    if args.budgets:
-        doc["budgets"] = {k: given[k] for k in args.budgets}
-    if args.timings:
-        doc["timings"] = {"wall_s": round(time.perf_counter() - t0, 6)}
-    json.dump(_json(doc), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        if getattr(args, "csv", False):
+            csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        else:
+            doc = {"schema": 1, "command": args.command, "results": results,
+                   "inputs": {k: given[k] for k in args.inputs if k in given}}
+            if L is not None:
+                doc["inputs"]["basis"] = L.basis
+            if "seed" in given:
+                doc["seed"] = args.seed
+            if args.budgets:
+                doc["budgets"] = {k: given[k] for k in args.budgets}
+            if args.timings:
+                doc["timings"] = {"wall_s": round(time.perf_counter() - t0, 6)}
+            json.dump(_json(doc), sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; quiet the flush at exit too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -32,6 +32,13 @@ def run(capsys):
     return _run
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's latstab first on PYTHONPATH."""
+    src = str(Path(latstab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def doc_of(out: str) -> dict:
     doc = json.loads(out)
     assert doc["schema"] == 1
@@ -253,14 +260,26 @@ class TestExitCodes:
 
     def test_dimension_mismatch_under_optimize(self, mixed_file):
         # -O strips asserts, so the check must be an explicit error
-        src = str(Path(latstab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "latstab.cli", "cvp", mixed_file, "-x", "1 2 3"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_source_env(), timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.count("\n") == 1 and "entries" in proc.stderr
+
+    @pytest.mark.parametrize("extra", [(), ("--csv",)])
+    def test_reader_closes_stdout_early(self, extra):
+        # about 200 KB of CSV and 1.8 MB of JSON, far more than a pipe holds,
+        # so a write meets the closed pipe
+        mixed = str(Path(__file__).parent / "golden" / "mixed.txt")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latstab.cli", "svp", mixed, "--r2", "10000", *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env())
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert head == (b"coords,nor" if extra else b'{\n  "budge')
 
     @pytest.mark.parametrize("budget_env, argv", [
         (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
