@@ -65,16 +65,16 @@ class CoveringRadiusBounds:
 
 
 class _Budget:
-    __slots__ = ("cap", "left")
+    __slots__ = ("cap", "left", "search")
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.left = cap
+    def __init__(self, cap: int, op: str, rank: int, radius_sq: Fraction):
+        self.cap = self.left = cap
+        self.search = (op, rank, radius_sq)
 
     def tick(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded(self.cap)
+            raise BudgetExceeded(self.cap, "{} at rank {}, radius^2 {}".format(*self.search))
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def list_vectors(L: Lattice, radius_sq, node_budget: int = DEFAULT_NODE_BUDGET) 
             return
         seen[_canonical_sign(_to_stored(prep, c_work))] = nsq
 
-    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget))
+    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget, "list_vectors", L.rank, radius_sq))
     ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
     return ShortVectorList(radius_sq=radius_sq, vectors=tuple(ordered))
 
@@ -235,7 +235,7 @@ def closest_vector(L: Lattice, x, project: bool = False,
         elif dsq == best[0]:
             best[1].append(c_work)
 
-    _se_scan(prep, t, bound, on_leaf, _Budget(node_budget))
+    _se_scan(prep, t, bound, on_leaf, _Budget(node_budget, "closest_vector", L.rank, start))
     coords = min(_to_stored(prep, c) for c in best[1])
     point = linalg.vec_mat(as_vec(coords), L.basis)
     return NearResult(point=point, coords=coords, dist_sq=best[0] + extra)
@@ -254,7 +254,7 @@ def _points_within(L: Lattice, x: Vec, radius_sq: Fraction,
     def on_leaf(c_work, dsq):
         out.append((_to_stored(prep, c_work), dsq))
 
-    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget))
+    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget, "_points_within", L.rank, radius_sq))
     return out
 
 

@@ -36,8 +36,8 @@ class RankTooLarge(LatticeError):
 class BudgetExceeded(LatticeError):
     """An enumeration visited more nodes than its budget allows."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"enumeration exceeded node budget {budget}")
+    def __init__(self, budget: int, search: str = "enumeration"):
+        super().__init__(f"{search} exceeded node budget {budget}")
         self.budget = budget
 
 

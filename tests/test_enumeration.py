@@ -116,6 +116,21 @@ class TestBudget:
         with pytest.raises(BudgetExceeded) as err:
             list_vectors(z3, F(400), node_budget=50)
         assert err.value.budget == 50
+        assert str(err.value) == "list_vectors at rank 3, radius^2 400 exceeded node budget 50"
+
+    @pytest.mark.parametrize("search, cap, message", [
+        # the search radius of a CVP is its Babai start, (1/3)^2 + (1/2)^2 + (1/3)^2
+        (lambda L, cap: closest_vector(L, (F(1, 3), F(1, 2), F(2, 3)), node_budget=cap), 2,
+         "closest_vector at rank 3, radius^2 17/36"),
+        (lambda L, cap: enumeration._points_within(L, (F(1, 3), F(1, 2), F(2, 3)), F(5),
+                                                   node_budget=cap), 5,
+         "_points_within at rank 3, radius^2 5"),
+    ])
+    def test_error_names_search(self, z3, search, cap, message):
+        with pytest.raises(BudgetExceeded) as err:
+            search(z3, cap)
+        assert err.value.budget == cap
+        assert str(err.value) == f"{message} exceeded node budget {cap}"
 
 
 class TestCoveringRadius:
