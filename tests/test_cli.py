@@ -274,11 +274,14 @@ class TestExitCodes:
         proc = subprocess.Popen(
             [sys.executable, "-m", "latstab.cli", "svp", mixed, "--r2", "10000", *extra],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env())
-        head = proc.stdout.read(10)
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
-        proc.stderr.close()
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
         assert head == (b"coords,nor" if extra else b'{\n  "budge')
 
     @pytest.mark.parametrize("budget_env, argv", [
