@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge, SingularMatrix
@@ -241,38 +241,6 @@ def closest_vector(L: Lattice, x, project: bool = False,
     return NearResult(point=point, coords=coords, dist_sq=best[0] + extra)
 
 
-def _points_within(L: Lattice, x: Vec, radius_sq: Fraction,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All lattice points within radius of x (x in span(L)), as stored-basis
-    coordinates with exact squared distances."""
-    prep = _prep(L)
-    t = linalg.rowspace_coefficients(prep.rows, x)
-    if t is None:
-        raise NotInSpan("target is outside span(L)")
-    out: list[tuple[tuple[int, ...], Fraction]] = []
-
-    def on_leaf(c_work, dsq):
-        out.append((_to_stored(prep, c_work), dsq))
-
-    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget, "_points_within", L.rank, radius_sq))
-    return out
-
-
-def _is_voronoi_relevant(L: Lattice, coords: tuple[int, ...],
-                         node_budget: int) -> bool:
-    """Conway-Sloane test: v is relevant iff the only lattice points nearest
-    to v/2 are 0 and v."""
-    v = linalg.vec_mat(as_vec(coords), L.basis)
-    half = linalg.vscale(Fraction(1, 2), v)
-    bound = linalg.norm_sq(half)
-    pts = _points_within(L, half, bound, node_budget)
-    nearest = min(d for _, d in pts)
-    if nearest < bound:
-        return False
-    tied = [c for c, d in pts if d == bound]
-    return sorted(tied) == sorted([tuple([0] * L.rank), coords])
-
-
 @lru_cache(maxsize=256)
 def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...], Fraction, Vec]:
     """Vertices of the Voronoi cell of the origin (ambient coordinates),
@@ -287,40 +255,36 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...],
     gamma = _prep(L).gamma
     mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1],
                    Fraction(1, 4) * sum(gamma))
-    candidates = list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget)
-    relevant = [c for c, _ in candidates.vectors if _is_voronoi_relevant(L, c, node_budget)]
-    constraints = []  # (normal in basis coords a = G c, rhs = (c G c^T)/2) for both signs
-    for c in relevant:
-        cv = as_vec(c)
-        a = linalg.mat_vec(G, cv)
-        rhs = linalg.dot(cv, a) / 2
-        constraints.append((a, rhs))
-        constraints.append((tuple(-e for e in a), rhs))
+    # v is relevant iff +-v are the only shortest vectors of the coset v + 2L
+    # (Voronoi 1908; Conway-Sloane 1982), as |v/2 - p|^2 = |v - 2p|^2 / 4.
+    # The listing holds every coset minimum: some p lies within mu of c/2,
+    # so |c - 2p| <= 2 mu. It is sorted by norm, one vector of each +-pair.
+    classes: dict[tuple[int, ...], list] = {}  # parity class -> its vectors of least norm
+    for c, nsq in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
+        least = classes.setdefault(tuple(a % 2 for a in c), [])
+        if not least or least[0][1] == nsq:
+            least.append((c, nsq))
+    # the facet |a . xi| <= h of each relevant c, with a = G c and h = c G c^T / 2
+    facets = [(linalg.mat_vec(G, as_vec(c)), nsq / 2)
+              for parity, least in classes.items() if any(parity) and len(least) == 1
+              for c, nsq in least]
+    signs = tuple(product((1, -1), repeat=m))
     vertices: set[Vec] = set()
-    for subset in combinations(range(len(constraints)), m):
-        A = as_mat([constraints[i][0] for i in subset])
+    for subset in combinations(facets, m):
+        rhs = tuple(tuple(s[i] * h for s in signs) for i, (_, h) in enumerate(subset))
         try:
-            xi = linalg.solve(A, as_vec([constraints[i][1] for i in subset]))
+            X = linalg.solve_matrix(tuple(a for a, _ in subset), rhs)
         except SingularMatrix:
             continue
-        if all(linalg.dot(xi, a) <= rhs for a, rhs in constraints):
-            vertices.add(xi)
+        vertices.update(xi for xi in zip(*X) if all(abs(linalg.dot(xi, a)) <= h for a, h in facets))
     if not vertices:
         raise CertificationFailed("the Voronoi cell has no vertices")
-    best_sq = Fraction(-1)
-    witness_xi: Vec = ()
-    verts_ambient = []
-    for xi in sorted(vertices):
-        vsq = linalg.dot(xi, linalg.mat_vec(G, xi))
-        verts_ambient.append(linalg.vec_mat(xi, L.basis))
-        if vsq > best_sq or (vsq == best_sq and _greater_ambient(verts_ambient[-1], witness_xi)):
-            best_sq = vsq
-            witness_xi = verts_ambient[-1]
-    return tuple(verts_ambient), best_sq, witness_xi
-
-
-def _greater_ambient(v: Vec, w: Vec) -> bool:
-    return not w or v > w
+    verts = sorted(vertices)
+    verts_ambient = tuple(linalg.vec_mat(xi, L.basis) for xi in verts)
+    # deepest hole: the longest vertex, ties to the greatest ambient vector
+    best_sq, witness = max((linalg.dot(xi, linalg.mat_vec(G, xi)), v)
+                           for xi, v in zip(verts, verts_ambient))
+    return verts_ambient, best_sq, witness
 
 
 def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: int = 16,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, lcm
+from math import floor
 
 from . import linalg
 from .errors import DependentRows, NotInSpan
@@ -133,9 +133,5 @@ def equal_lattices(L1: Lattice, L2: Lattice) -> bool:
     """Exact set equality via canonical Hermite forms of rescaled bases."""
     if L1.ambient_dim != L2.ambient_dim or L1.rank != L2.rank:
         return False
-    _, D1 = linalg.clear_denominators(L1.basis)
-    _, D2 = linalg.clear_denominators(L2.basis)
-    D = lcm(D1, D2)
-    A = tuple(tuple(int(a * D) for a in row) for row in L1.basis)
-    B = tuple(tuple(int(a * D) for a in row) for row in L2.basis)
-    return linalg.hnf(A) == linalg.hnf(B)
+    scaled, _ = linalg.clear_denominators(L1.basis + L2.basis)
+    return linalg.hnf(scaled[:L1.rank]) == linalg.hnf(scaled[L1.rank:])

@@ -39,7 +39,8 @@ def zeros(n: int) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise DimensionMismatch(f"dot product of vectors with {len(u)} and {len(v)} entries")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
@@ -71,7 +72,8 @@ def mat_vec(M: Mat, x: Vec) -> Vec:
 
 def vec_mat(x: Vec, M: Mat) -> Vec:
     """Row vector times matrix: the combination sum_i x_i * row_i."""
-    assert len(x) == len(M)
+    if len(x) != len(M):
+        raise DimensionMismatch(f"{len(x)} coefficients for a matrix with {len(M)} rows")
     n = len(M[0]) if M else 0
     out = list(zeros(n))
     for c, row in zip(x, M):

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 from . import linalg
 from .errors import CertificationFailed, NotInLattice, NotPrimitive, RankTooLarge
@@ -101,21 +99,9 @@ def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis
 
 
 def _primitive_coords(C: list[tuple[int, ...]]) -> bool:
-    """True when the integer rows extend to a unimodular matrix: full rank and
-    the gcd of all maximal minors is 1 (all Smith invariants are 1)."""
-    k = len(C)
-    if k == 0:
-        return True
-    M = as_mat(C)
-    if linalg.rank(M) != k:
-        return False
-    g = 0
-    for cols in combinations(range(len(C[0])), k):
-        sub = as_mat(tuple(tuple(row[c] for c in cols) for row in M))
-        g = gcd(g, int(linalg.det(sub)))
-        if g == 1:
-            return True
-    return g == 1
+    """True when the integer rows extend to a unimodular matrix, that is when
+    their columns generate Z^k: the Hermite form of the columns starts with I_k."""
+    return linalg.hnf(tuple(zip(*C)))[:len(C)] == linalg.identity(len(C))
 
 
 def is_primitive_system(L: Lattice, vectors) -> bool:

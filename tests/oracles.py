@@ -10,11 +10,13 @@ probe are earlier, slower versions kept as exact references.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
-from latstab import CertificationFailed, Lattice, ProbeConfig, dual
+from latstab import CertificationFailed, Lattice, ProbeConfig, SingularMatrix, dual
 from latstab import linalg
-from latstab.enumeration import _voronoi_vertex_data, closest_vector, list_vectors
+from latstab.enumeration import (_Budget, _prep, _se_scan, _to_stored, _voronoi_vertex_data,
+                                 closest_vector, list_vectors, successive_minima)
 from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
 from latstab.rng import SplitMix64
@@ -80,6 +82,77 @@ def box_minima(L: Lattice):
                 if len(chosen) == m:
                     return tuple(mins)
         radius *= 4
+
+
+def reference_primitive_coords(C) -> bool:
+    """The integer rows extend to a unimodular matrix: full rank and the gcd
+    of all maximal minors is 1 (all Smith invariants are 1)."""
+    k = len(C)
+    if k == 0:
+        return True
+    M = as_mat(C)
+    if linalg.rank(M) != k:
+        return False
+    g = 0
+    for cols in combinations(range(len(C[0])), k):
+        g = gcd(g, int(linalg.det(as_mat(tuple(tuple(row[c] for c in cols) for row in M)))))
+    return g == 1
+
+
+def _points_within(L: Lattice, x: Vec, radius_sq: Fraction, node_budget: int):
+    """All lattice points within radius of x (x in span(L)), as stored-basis
+    coordinates with exact squared distances."""
+    prep = _prep(L)
+    t = linalg.rowspace_coefficients(prep.rows, x)
+    out = []
+    _se_scan(prep, t, [radius_sq], lambda c, dsq: out.append((_to_stored(prep, c), dsq)),
+             _Budget(node_budget, "_points_within", L.rank, radius_sq))
+    return out
+
+
+def _is_voronoi_relevant(L: Lattice, coords, node_budget: int) -> bool:
+    """Conway-Sloane test: v is relevant iff the only lattice points nearest
+    to v/2 are 0 and v."""
+    half = linalg.vscale(Fraction(1, 2), linalg.vec_mat(as_vec(coords), L.basis))
+    bound = linalg.norm_sq(half)
+    pts = _points_within(L, half, bound, node_budget)
+    if min(d for _, d in pts) < bound:
+        return False
+    tied = [c for c, d in pts if d == bound]
+    return sorted(tied) == sorted([tuple([0] * L.rank), coords])
+
+
+def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
+    """The Voronoi cell as first built: one nearest-point search per listed
+    vector to decide its relevance, then one solve per m-subset of the 2R
+    signed half-spaces. Returns (ambient vertices, mu^2, deepest hole) with
+    the same order and tie-break as enumeration._voronoi_vertex_data."""
+    m = L.rank
+    G = L.gram_matrix
+    mins = successive_minima(L, node_budget=node_budget)
+    mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1], Fraction(1, 4) * sum(_prep(L).gamma))
+    candidates = list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget)
+    constraints = []
+    for c, _ in candidates.vectors:
+        if _is_voronoi_relevant(L, c, node_budget):
+            a = linalg.mat_vec(G, as_vec(c))
+            rhs = linalg.dot(as_vec(c), a) / 2
+            constraints += [(a, rhs), (tuple(-e for e in a), rhs)]
+    vertices = set()
+    for subset in combinations(constraints, m):
+        try:
+            xi = linalg.solve(as_mat([a for a, _ in subset]), as_vec([h for _, h in subset]))
+        except SingularMatrix:
+            continue
+        if all(linalg.dot(xi, a) <= h for a, h in constraints):
+            vertices.add(xi)
+    best_sq, witness, ambient = Fraction(-1), (), []
+    for xi in sorted(vertices):
+        vsq = linalg.dot(xi, linalg.mat_vec(G, xi))
+        ambient.append(linalg.vec_mat(xi, L.basis))
+        if vsq > best_sq or (vsq == best_sq and (not witness or ambient[-1] > witness)):
+            best_sq, witness = vsq, ambient[-1]
+    return tuple(ambient), best_sq, witness
 
 
 def reference_lll_rows(rows, delta):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -8,8 +9,10 @@ from latstab import (
     Lattice,
     NotInSpan,
     RankTooLarge,
+    SingularMatrix,
     closest_vector,
     covering_radius,
+    dual,
     enumeration,
     linalg,
     list_vectors,
@@ -18,7 +21,7 @@ from latstab import (
 )
 from latstab.enumeration import ShortVectorList
 from conftest import seeded_lattices
-from oracles import box_closest, box_minima, box_vectors
+from oracles import box_closest, box_minima, box_vectors, reference_voronoi_vertex_data
 
 
 class TestListVectors:
@@ -122,9 +125,6 @@ class TestBudget:
         # the search radius of a CVP is its Babai start, (1/3)^2 + (1/2)^2 + (1/3)^2
         (lambda L, cap: closest_vector(L, (F(1, 3), F(1, 2), F(2, 3)), node_budget=cap), 2,
          "closest_vector at rank 3, radius^2 17/36"),
-        (lambda L, cap: enumeration._points_within(L, (F(1, 3), F(1, 2), F(2, 3)), F(5),
-                                                   node_budget=cap), 5,
-         "_points_within at rank 3, radius^2 5"),
     ])
     def test_error_names_search(self, z3, search, cap, message):
         with pytest.raises(BudgetExceeded) as err:
@@ -163,7 +163,9 @@ class TestCoveringRadius:
             covering_radius(z2)
 
     def test_cell_without_vertices_rejected(self, z2, monkeypatch):
-        monkeypatch.setattr(enumeration, "_is_voronoi_relevant", lambda L, c, budget: False)
+        def singular(M, R):
+            raise SingularMatrix("every facet system")
+        monkeypatch.setattr(enumeration.linalg, "solve_matrix", singular)
         with pytest.raises(CertificationFailed):
             covering_radius(z2)
 
@@ -172,6 +174,36 @@ class TestCoveringRadius:
         assert isinstance(first[0], tuple)
         assert enumeration._voronoi_vertex_data(Lattice(z2.basis), 10_000) is first
         assert enumeration._voronoi_vertex_data.cache_info().misses == 1
+
+    @pytest.mark.parametrize("rows, pairs, count, mu_sq", [
+        (((1, 0), (0, 1)), 2, 4, F(1, 2)),
+        (((1, 0), (0, 2)), 2, 4, F(5, 4)),  # 2L has the unique shortest class vector (2, 0)
+        (((1, 0), (F(1, 2), F(3, 4))), 3, 6, F(169, 576)),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3, 8, F(3, 4)),
+        (((1, 1, 0), (1, 0, 1), (0, 1, 1)), 6, 14, F(1)),  # fcc
+        (((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 2), F(1, 2))), 7, 24, F(5, 16)),  # bcc
+    ])
+    def test_classical_cells(self, rows, pairs, count, mu_sq, monkeypatch):
+        """Vertex count and radius, and one solve per rank-many subset of
+        the relevant pairs: counting a class modulo 2L with tied minima, or
+        2L itself, would add facets and solves."""
+        solves = []
+        solve_matrix = linalg.solve_matrix
+        monkeypatch.setattr(linalg, "solve_matrix",
+                            lambda M, R: solves.append(M) or solve_matrix(M, R))
+        L = Lattice(linalg.as_mat(rows))
+        verts, got_sq, witness = enumeration._voronoi_vertex_data(L, 10_000)
+        assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
+        assert len(solves) == comb(pairs, L.rank)
+
+    def test_cell_matches_search_reference(self):
+        """Coset-minimum relevance and facet-subset solves give the cell the
+        per-candidate nearest-point searches give: same vertices in the same
+        order, the same radius and the same deepest hole."""
+        for L in seeded_lattices(707, 20, n_max=3, entry_bound=3):
+            for K in (L, dual(L)):
+                got = enumeration._voronoi_vertex_data(K, 100_000)
+                assert got == reference_voronoi_vertex_data(K)
 
     def test_exact_capped_at_rank_three(self):
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))

@@ -94,6 +94,15 @@ class TestEquality:
         b = Lattice(((F(2, 6),),))
         assert equal_lattices(a, b)
 
+    def test_different_denominators(self):
+        """Both bases are scaled by one common denominator: 1/2 Z x 1/3 Z
+        equals the lattice of (1/2, 1/3), (0, 1/3) and differs from 1/3 Z x 1/3 Z,
+        and 1/2 Z differs from Z although each scaled by its own is Z."""
+        a = Lattice(((F(1, 2), F(0)), (F(0), F(1, 3))))
+        assert equal_lattices(a, Lattice(((F(1, 2), F(1, 3)), (F(0), F(1, 3)))))
+        assert not equal_lattices(a, Lattice(((F(1, 3), F(0)), (F(0), F(1, 3)))))
+        assert not equal_lattices(Lattice(((F(1, 2),),)), Lattice(((F(1),),)))
+
 
 class TestConstruction:
     def test_dependent_rows_rejected(self):

@@ -193,6 +193,14 @@ class TestEliminationKernel:
 
 
 class TestDimensionMismatch:
+    def test_dot(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.dot(linalg.as_vec((1, 2)), linalg.as_vec((1, 2, 3)))
+
+    def test_vec_mat(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.vec_mat(linalg.as_vec((1, 2, 3)), M((1, 0), (0, 1)))
+
     def test_rowspace_coefficients(self):
         with pytest.raises(DimensionMismatch):
             linalg.rowspace_coefficients(M((1, 0, 0), (0, 1, 0)), linalg.as_vec((1, 2)))

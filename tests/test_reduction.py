@@ -19,9 +19,9 @@ from latstab import (
     random_lattice,
 )
 from latstab.enumeration import ShortVectorList
-from latstab.reduction import DEFAULT_DELTA, _lll_rows
+from latstab.reduction import DEFAULT_DELTA, _lll_rows, _primitive_coords
 from conftest import seeded_lattices
-from oracles import lll_violations, reference_lll_rows, same_lattice
+from oracles import lll_violations, reference_lll_rows, reference_primitive_coords, same_lattice
 
 
 class TestLLL:
@@ -145,6 +145,11 @@ class TestPrimitivity:
     def test_requires_membership(self, z2):
         with pytest.raises(NotInLattice):
             is_primitive_system(z2, ((F(1, 2), F(0)),))
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), max_size=n + 1)))
+    def test_hermite_form_matches_minors(self, C):
+        assert _primitive_coords(C) == reference_primitive_coords(C)
 
 
 class TestExtendToBasis:
