@@ -184,20 +184,18 @@ def shortest_vector(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple
 def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> SuccessiveMinima:
     """All rank many successive minima, with rank-increasing witnesses."""
     radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
-    chosen: list[Vec] = []
     minima: list[Fraction] = []
     achieving: list[tuple[int, ...]] = []
+    # the basis rows are independent, so vectors are independent iff their coordinates are
     for coords, nsq in list_vectors(L, radius_sq, node_budget=node_budget).vectors:
-        vec = linalg.vec_mat(as_vec(coords), L.basis)
-        if linalg.rank(as_mat(chosen + [vec])) > len(chosen):
-            chosen.append(vec)
+        if linalg.rank(as_mat(achieving + [coords])) > len(achieving):
             minima.append(nsq)
             achieving.append(coords)
-            if len(chosen) == L.rank:
+            if len(achieving) == L.rank:
                 break
-    if len(chosen) != L.rank:
+    if len(achieving) != L.rank:
         raise CertificationFailed(f"the listing up to the longest working row reaches "
-                                  f"rank {len(chosen)}, not {L.rank}")
+                                  f"rank {len(achieving)}, not {L.rank}")
     return SuccessiveMinima(minima_sq=tuple(minima), achieving_vectors=tuple(achieving))
 
 
@@ -241,6 +239,12 @@ def closest_vector(L: Lattice, x, project: bool = False,
     return NearResult(point=point, coords=coords, dist_sq=best[0] + extra)
 
 
+def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
+    """min(m^2/4 * lambda_m^2, sum of |b*_i|^2 / 4): two upper bounds on mu(L)^2."""
+    lam_m_sq = successive_minima(L, node_budget=node_budget).minima_sq[-1]
+    return min(Fraction(L.rank ** 2, 4) * lam_m_sq, Fraction(1, 4) * sum(_prep(L).gamma))
+
+
 @lru_cache(maxsize=256)
 def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...], Fraction, Vec]:
     """Vertices of the Voronoi cell of the origin (ambient coordinates),
@@ -251,10 +255,7 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...],
     if m > 3:
         raise RankTooLarge(f"exact covering radius capped at rank 3, got {m}")
     G = L.gram_matrix
-    mins = successive_minima(L, node_budget=node_budget)
-    gamma = _prep(L).gamma
-    mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1],
-                   Fraction(1, 4) * sum(gamma))
+    mu_ub_sq = _covering_upper_sq(L, node_budget)
     # v is relevant iff +-v are the only shortest vectors of the coset v + 2L
     # (Voronoi 1908; Conway-Sloane 1982), as |v/2 - p|^2 = |v - 2p|^2 / 4.
     # The listing holds every coset minimum: some p lies within mu of c/2,
@@ -307,9 +308,7 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
     if mode != "heuristic":
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
 
-    mins = successive_minima(L, node_budget=node_budget)
-    gamma = _prep(L).gamma
-    upper_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1], Fraction(1, 4) * sum(gamma))
+    upper_sq = _covering_upper_sq(L, node_budget)
     rng = SplitMix64(seed)
     half = Fraction(1, 2)
     starts = [tuple(half for _ in range(m))]

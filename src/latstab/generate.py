@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import linalg
 from .enumeration import shortest_vector
-from .errors import GenerationFailed
+from .errors import DependentRows, GenerationFailed
 from .lattice import Lattice
 from .rng import SplitMix64
 
@@ -28,9 +28,10 @@ def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
             tuple(Fraction(rng.int_between(-entry_bound, entry_bound)) for _ in range(n))
             for _ in range(m)
         )
-        if linalg.rank(rows) != m:
+        try:
+            L = Lattice(rows)
+        except DependentRows:
             continue
-        L = Lattice(rows)
         if min_lambda1_sq is None:
             return L
         min_lambda1_sq = linalg.as_rational(min_lambda1_sq)

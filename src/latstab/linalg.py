@@ -3,7 +3,10 @@
 Vectors are tuples of ``Fraction``; matrices are tuples of row vectors.
 Everything is a value: operations return new tuples and never mutate.
 Squared euclidean norms stay rational, so all comparisons here are exact;
-nothing in this module touches floats.
+nothing in this module touches floats. Every solve, rank, determinant and
+kernel goes through one fraction-free elimination on integer rows: the
+caller clears denominators, the kernel works on integers only, and the
+results become ``Fraction``s again at the interface.
 """
 
 from __future__ import annotations
@@ -92,17 +95,22 @@ def gram(B: Mat) -> Mat:
     return tuple(tuple(dot(u, v) for v in B) for u in B)
 
 
-def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Gauss-Jordan elimination in place, pivoting on the first ncols columns.
+def _eliminate(rows: list[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) in place on a
+    list of integer rows, pivoting on the first ncols columns.
 
-    Afterwards row i has a 1 in column pivots[i] and every other row a 0
-    there; rows past len(pivots) are zero in the first ncols columns, and the
-    columns beyond ncols carry the same row operations (augmented systems).
-    Returns the pivot columns and the signed product of the pivots, which is
-    the determinant when the first ncols columns form a nonsingular square.
+    At pivot p every other row becomes (p * row - c * pivot_row) // d, c its
+    entry in the pivot column and d the previous pivot (1 at first). Every
+    entry stays a minor of the input, so each division is exact; a pivot row
+    that moves is negated, which keeps the minors' signs. Afterwards row i
+    holds d in column pivots[i] and 0 in the other pivot columns, rows past
+    len(pivots) are zero in the first ncols columns, and columns beyond ncols
+    carry the same row operations: the reduced row echelon form is rows / d.
+    Returns the pivot columns and d, the determinant when the first ncols
+    columns form a nonsingular square.
     """
     pivots: list[int] = []
-    signed = Fraction(1)
+    d = 1
     for j in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -111,19 +119,16 @@ def _eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fract
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            signed = -signed
+            rows[r], rows[piv] = [-a for a in rows[piv]], rows[r]
         row = rows[r]
-        signed *= row[j]
-        # entries left of column j are zero in every row not yet pivoted on
-        inv = 1 / row[j]
-        row[j:] = [a * inv for a in row[j:]]
+        p = row[j]
         for i, other in enumerate(rows):
-            c = other[j]
-            if c and i != r:
-                other[j:] = [a - c * b for a, b in zip(other[j:], row[j:])]
+            if i != r:
+                c = other[j]
+                rows[i] = [(p * a - c * b) // d for a, b in zip(other, row)]
+        d = p
         pivots.append(j)
-    return pivots, signed
+    return pivots, d
 
 
 def _square(M: Mat) -> int:
@@ -135,13 +140,14 @@ def _square(M: Mat) -> int:
 
 
 def rank(M: Mat) -> int:
-    return len(_eliminate([list(r) for r in M], len(M[0]) if M else 0)[0])
+    return len(_eliminate(list(clear_denominators(M)[0]), len(M[0]) if M else 0)[0])
 
 
 def det(M: Mat) -> Fraction:
     m = _square(M)
-    pivots, d = _eliminate([list(r) for r in M], m)
-    return d if len(pivots) == m else Fraction(0)
+    scaled, D = clear_denominators(M)
+    pivots, d = _eliminate(list(scaled), m)
+    return Fraction(d, D ** m) if len(pivots) == m else Fraction(0)
 
 
 def solve_matrix(M: Mat, R: Mat) -> Mat:
@@ -149,10 +155,11 @@ def solve_matrix(M: Mat, R: Mat) -> Mat:
     m = _square(M)
     if len(R) != m:
         raise DimensionMismatch(f"right-hand side has {len(R)} rows, matrix has {m}")
-    rows = [list(a) + list(r) for a, r in zip(M, R)]
-    if len(_eliminate(rows, m)[0]) < m:
+    rows = list(clear_denominators([(*a, *r) for a, r in zip(M, R)])[0])
+    pivots, d = _eliminate(rows, m)
+    if len(pivots) < m:
         raise SingularMatrix("the matrix is singular")
-    return tuple(tuple(row[m:]) for row in rows)
+    return tuple(tuple(Fraction(a, d) for a in row[m:]) for row in rows)
 
 
 def invert(M: Mat) -> Mat:
@@ -204,25 +211,26 @@ def rowspace_coefficients(B: Mat, x: Vec) -> Vec | None:
     k, n = len(B), len(B[0])
     if len(x) != n:
         raise DimensionMismatch(f"vector has {len(x)} entries, the rows have {n}")
-    rows = [[*col, xj] for col, xj in zip(zip(*B), x)]
-    if len(_eliminate(rows, k)[0]) < k:
+    rows = list(clear_denominators([(*col, xj) for col, xj in zip(zip(*B), x)])[0])
+    pivots, d = _eliminate(rows, k)
+    if len(pivots) < k:
         raise DependentRows("coordinates need independent rows")
     if any(row[k] for row in rows[k:]):
         return None
-    return tuple(row[k] for row in rows[:k])
+    return tuple(Fraction(row[k], d) for row in rows[:k])
 
 
 def null_space(M: Mat) -> Mat:
     """Rows spanning the solution space of M x = 0 (one row per free column)."""
-    rows = [list(r) for r in M]
-    n = len(rows[0]) if rows else 0
-    pivots, _ = _eliminate(rows, n)
+    rows = list(clear_denominators(M)[0])
+    n = len(M[0]) if M else 0
+    pivots, d = _eliminate(rows, n)
     basis = []
     for f in (j for j in range(n) if j not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+            v[p] = Fraction(-rows[i][f], d)
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -272,7 +280,7 @@ def hnf(M: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 def clear_denominators(M: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Smallest positive integer D with D*M integral, plus that integer matrix."""
     D = lcm(*(a.denominator for row in M for a in row))
-    scaled = tuple(tuple(int(a * D) for a in row) for row in M)
+    scaled = tuple(tuple(a.numerator * (D // a.denominator) for a in row) for row in M)
     return scaled, D
 
 

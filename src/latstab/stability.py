@@ -319,29 +319,18 @@ def _scaled(x: Vec) -> tuple[list[int], int]:
     return [a.numerator * (q // a.denominator) for a in x], q
 
 
-def _bareiss(M: list[list[int]]) -> tuple[int, list[int]]:
-    """(det H, det H * H^-1 rho) for an integer system M = [H | rho], M overwritten:
-    fraction-free (Bareiss) elimination, then exact integer back-substitution."""
-    k, det = len(M), 1
-    for p in range(k):
-        if not M[p][p]:
-            raise DependentRows("the system matrix must have independent rows")
-        for i in range(p + 1, k):
-            M[i] = [(M[p][p] * a - M[i][p] * b) // det for a, b in zip(M[i], M[p])]
-        det = M[p][p]
-    sigma = [0] * k
-    for i in range(k - 1, -1, -1):
-        sigma[i] = (det * M[i][k] - sum(M[i][j] * sigma[j] for j in range(i + 1, k))) // M[i][i]
-    return det, sigma
-
-
 def _slab_step(R: list[list[int]], T: list[int], D: int, dd: int, x: Vec) -> Vec:
     """almost_near_linear(R / D, T / dd, x) for independent integer rows R,
     in integers: with x = xz / q, H = R R^T and rho = R xz dd - T D q,
-    y = (xz dd det H - R^T sigma) / (q dd det H) for sigma = det H * H^-1 rho."""
+    y = (xz dd det H - R^T sigma) / (q dd det H) for sigma = det H * H^-1 rho,
+    the last column of [H | rho] after the shared fraction-free elimination."""
     xz, q = _scaled(x)
-    det, sigma = _bareiss([[sum(map(mul, a, b)) for b in R]
-                           + [sum(map(mul, a, xz)) * dd - t * D * q] for a, t in zip(R, T)])
+    M = [[sum(map(mul, a, b)) for b in R] + [sum(map(mul, a, xz)) * dd - t * D * q]
+         for a, t in zip(R, T)]
+    pivots, det = linalg._eliminate(M, len(R))
+    if len(pivots) < len(R):
+        raise DependentRows("the system matrix must have independent rows")
+    sigma = [row[-1] for row in M]
     ynum = [a * dd * det - sum(map(mul, sigma, col)) for a, col in zip(xz, zip(*R))]
     if any(sum(map(mul, r, ynum)) != t * D * q * det for r, t in zip(R, T)):
         raise CertificationFailed("the corrected point does not solve A y = b")

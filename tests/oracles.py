@@ -1,10 +1,11 @@
-"""Brute-force reference implementations for cross-checking enumeration,
-LLL and the probe.
+"""Brute-force reference implementations for cross-checking the elimination
+kernel, enumeration, LLL and the probe.
 
 Everything here trades speed for obviousness: coordinate boxes derived from
 the Cauchy-Schwarz bound |c_i| <= ||v|| ||w_i|| (w_i the dual rows) are
-scanned exhaustively, with no pruning and no recursion; the LLL and the
-probe are earlier, slower versions kept as exact references.
+scanned exhaustively, with no pruning and no recursion; the Fraction
+elimination, the LLL and the probe are earlier, slower versions kept as
+exact references.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from latstab import CertificationFailed, Lattice, ProbeConfig, SingularMatrix, dual
+from latstab import CertificationFailed, DependentRows, Lattice, ProbeConfig, SingularMatrix, dual
 from latstab import linalg
 from latstab.enumeration import (_Budget, _prep, _se_scan, _to_stored, _voronoi_vertex_data,
                                  closest_vector, list_vectors, successive_minima)
@@ -21,6 +22,79 @@ from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
 from latstab.rng import SplitMix64
 from latstab.stability import HALF, THIRD, almost_near_linear
+
+
+def reference_eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan elimination over Fractions in place, pivoting on the
+    first ncols columns: row i ends with a 1 in column pivots[i] and every
+    other row a 0 there. Returns the pivot columns and the signed product of
+    the pivots, the determinant when the first ncols columns form a
+    nonsingular square."""
+    pivots: list[int] = []
+    signed = Fraction(1)
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            signed = -signed
+        row = rows[r]
+        signed *= row[j]
+        # entries left of column j are zero in every row not yet pivoted on
+        inv = 1 / row[j]
+        row[j:] = [a * inv for a in row[j:]]
+        for i, other in enumerate(rows):
+            c = other[j]
+            if c and i != r:
+                other[j:] = [a - c * b for a, b in zip(other[j:], row[j:])]
+        pivots.append(j)
+    return pivots, signed
+
+
+def reference_rank(M) -> int:
+    return len(reference_eliminate([list(r) for r in M], len(M[0]) if M else 0)[0])
+
+
+def reference_det(M) -> Fraction:
+    m = len(M)
+    pivots, d = reference_eliminate([list(r) for r in M], m)
+    return d if len(pivots) == m else Fraction(0)
+
+
+def reference_solve_matrix(M, R):
+    m = len(M)
+    rows = [list(a) + list(r) for a, r in zip(M, R)]
+    if len(reference_eliminate(rows, m)[0]) < m:
+        raise SingularMatrix("the matrix is singular")
+    return tuple(tuple(row[m:]) for row in rows)
+
+
+def reference_rowspace_coefficients(B, x):
+    k = len(B)
+    rows = [[*col, xj] for col, xj in zip(zip(*B), x)]
+    if len(reference_eliminate(rows, k)[0]) < k:
+        raise DependentRows("coordinates need independent rows")
+    if any(row[k] for row in rows[k:]):
+        return None
+    return tuple(row[k] for row in rows[:k])
+
+
+def reference_null_space(M):
+    rows = [list(r) for r in M]
+    n = len(rows[0]) if rows else 0
+    pivots, _ = reference_eliminate(rows, n)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def _canonical_sign(coords):

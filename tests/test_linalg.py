@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from latstab import DependentRows, DimensionMismatch, SingularMatrix, equal_lattices, Lattice
 from latstab import linalg
+from oracles import (reference_det, reference_null_space, reference_rank,
+                     reference_rowspace_coefficients, reference_solve_matrix)
 
 
 def M(*rows):
@@ -190,6 +193,75 @@ class TestEliminationKernel:
         assert linalg.rowspace_coefficients(B, x) == c
         off = linalg.null_space(B)[0]  # orthogonal to every row of B
         assert linalg.rowspace_coefficients(B, linalg.vadd(x, off)) is None
+
+
+    @pytest.mark.parametrize("perm, sign", [((1, 0), -1), ((1, 2, 0), 1), ((1, 2, 3, 0), -1)])
+    def test_det_of_scaled_permutations(self, perm, sign):
+        # row i is scales[i] * e_perm[i]; the pivot of every column but the
+        # last sits in the last row, so the elimination swaps len(perm) - 1 times
+        scales = (F(2, 3), F(-5, 7), F(3), F(1, 4))[:len(perm)]
+        P = tuple(tuple(s if j == p else F(0) for j in range(len(perm)))
+                  for s, p in zip(scales, perm))
+        assert linalg.det(P) == sign * prod(scales)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices whose elimination skips zero columns, swaps rows
+    (a zero top-left entry) and meets rows that combine earlier rows."""
+    m = draw(st.integers(1, 5))
+    n = m if square else draw(st.integers(1, 6))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):
+            k, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(rationals), draw(rationals)
+            rows[i] = [a * x + b * y for x, y in zip(rows[k], rows[l])]
+    for j in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            for r in rows:
+                r[j] = F(0)
+    if draw(st.booleans()):
+        rows[0][0] = F(0)
+    return linalg.as_mat(rows)
+
+
+def _outcome(f, *args):
+    """repr of the result, so an int where the reference gives a Fraction
+    differs; the exception type when the call raises."""
+    try:
+        return repr(f(*args))
+    except (SingularMatrix, DependentRows) as e:
+        return type(e)
+
+
+class TestKernelMatchesFractionReference:
+    """The fraction-free kernel's callers return what the earlier all-Fraction
+    Gauss-Jordan elimination (tests/oracles.py) returns, value and type."""
+
+    @given(rational_matrices(), st.data())
+    def test_rank_null_space_and_coordinates(self, A, data):
+        assert linalg.rank(A) == reference_rank(A)
+        assert _outcome(linalg.null_space, A) == _outcome(reference_null_space, A)
+        n = len(A[0])
+        coeffs = data.draw(st.lists(rationals, min_size=len(A), max_size=len(A)))
+        for x in (linalg.vec_mat(linalg.as_vec(coeffs), A),
+                  linalg.as_vec(data.draw(st.lists(rationals, min_size=n, max_size=n)))):
+            assert (_outcome(linalg.rowspace_coefficients, A, x)
+                    == _outcome(reference_rowspace_coefficients, A, x))
+
+    @given(rational_matrices(square=True), st.data())
+    def test_det_and_solve(self, A, data):
+        assert _outcome(linalg.det, A) == _outcome(reference_det, A)
+        m = len(A)
+        R = linalg.as_mat(data.draw(st.lists(st.lists(rationals, min_size=2, max_size=2),
+                                             min_size=m, max_size=m)))
+        assert _outcome(linalg.solve_matrix, A, R) == _outcome(reference_solve_matrix, A, R)
+        I = linalg.identity(m)
+        assert _outcome(linalg.invert, A) == _outcome(reference_solve_matrix, A, I)
 
 
 class TestDimensionMismatch:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -237,13 +238,17 @@ class TestProbe:
 
     def test_wrong_repair_step_rejected(self, z2, monkeypatch):
         # the half-vector starts violate their slabs, so every one is repaired
-        real = stability._bareiss
+        # the step's sigma is the last column of [H | rho] after elimination;
+        # every other solve goes through the kernel untouched
+        real = linalg._eliminate
 
-        def wrong(M):
-            det, sigma = real(M)
-            return det, [sigma[0] + 1, *sigma[1:]]
+        def wrong(rows, ncols):
+            pivots, d = real(rows, ncols)
+            if sys._getframe(1).f_code is stability._slab_step.__code__:
+                rows[0] = [*rows[0][:-1], rows[0][-1] + 1]
+            return pivots, d
 
-        monkeypatch.setattr(stability, "_bareiss", wrong)
+        monkeypatch.setattr(linalg, "_eliminate", wrong)
         with pytest.raises(CertificationFailed, match="does not solve A y = b"):
             probe_worst_distance(z2, F(1, 4), F(1), FAST)
 
