@@ -2,10 +2,13 @@
 
 All searches walk a depth-first tree over Gram-Schmidt coordinates of an
 LLL-reduced working basis (Schnorr-Euchner ordering: candidates at each
-level leave the interval center outward, nearer side first). Every bound
-comparison is a rational comparison, so results are exact; floats never
-enter. A node budget caps the tree walk and raising BudgetExceeded is the
-only way a search gives up.
+level leave the interval center outward, nearer side first). The scan runs
+on integers: the Gram-Schmidt data of each lattice is scaled once to
+integers (in the spirit of integral LLL: de Weger 1987; Cohen Alg. 2.6.7)
+and the target once by its common denominator q, so every bound test is an
+exact integer comparison at the common scale S q^2; no Fraction is built
+per node and floats never enter. A node budget caps the tree walk and
+raising BudgetExceeded is the only way a search gives up.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge, SingularMatrix
 from .lattice import Lattice
-from .linalg import Mat, Vec, as_mat, as_vec
+from .linalg import Mat, Vec, _round_half_even, _scaled, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, _lll_rows
 from .rng import SplitMix64
 
@@ -83,62 +87,88 @@ class _Prep:
     transform: tuple[tuple[int, ...], ...]  # working = transform * stored
     gamma: tuple[Fraction, ...]     # squared Gram-Schmidt norms
     mu: Mat
+    # the same data in integers: e[i] is the lcm of the denominators of
+    # column i of mu, M[j][i] = mu[j][i] e[i] for i <= j, S the least common
+    # multiple of e[i]^2 den(gamma[i]) and w[i] = gamma[i] S / e[i]^2
+    e: tuple[int, ...]
+    M: tuple[tuple[int, ...], ...]
+    S: int
+    w: tuple[int, ...]
 
 
 @lru_cache(maxsize=256)
 def _prep(L: Lattice) -> _Prep:
     rows, U, gamma, mu = _lll_rows(L.basis, DEFAULT_DELTA)
-    return _Prep(rows=rows, transform=U, gamma=gamma, mu=mu)
+    m = len(rows)
+    e = tuple(lcm(*(mu[j][i].denominator for j in range(i + 1, m))) for i in range(m))
+    M = tuple(tuple(mu[j][i].numerator * (e[i] // mu[j][i].denominator) for i in range(j))
+              + (e[j],) for j in range(m))
+    S = lcm(*(ei * ei * g.denominator for ei, g in zip(e, gamma)))
+    w = tuple(g.numerator * (S // (ei * ei * g.denominator)) for ei, g in zip(e, gamma))
+    return _Prep(rows=rows, transform=U, gamma=gamma, mu=mu, e=e, M=M, S=S, w=w)
 
 
 def _se_scan(prep: _Prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """DFS over integer combinations c of the working rows, pruning exactly on
     sum_i (c_i - center_i)^2 gamma_i > bound[0]. The bound may shrink inside
-    on_leaf; ties at the bound are still visited."""
-    gamma, mu = prep.gamma, prep.mu
-    m = len(gamma)
+    on_leaf; ties at the bound are still visited.
+
+    With t = T / q, center_i = Cn_i / (q e_i) for the integer
+    Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term times
+    S q^2 is the integer (c_i q e_i - Cn_i)^2 w_i: an integer sum exceeds
+    bound[0] S q^2 iff it exceeds its floor."""
+    e, M, w = prep.e, prep.M, prep.w
+    m = len(e)
+    T, q = _scaled(t)
+    scale = prep.S * q * q
+    lim = [bound[0].numerator * scale // bound[0].denominator]
     c = [0] * m
 
-    def descend(i: int, partial: Fraction, ci: int, contrib: Fraction):
+    def descend(i: int, partial: int, ci: int, contrib: int):
         c[i] = ci
         if i == 0:
-            on_leaf(tuple(c), partial + contrib)
+            on_leaf(tuple(c), Fraction(partial + contrib, scale))
+            lim[0] = bound[0].numerator * scale // bound[0].denominator
         else:
             level(i - 1, partial + contrib)
 
-    def level(i: int, partial: Fraction):
-        center = t[i]
+    def level(i: int, partial: int):
+        qe, wi = q * e[i], w[i]
+        Cn = T[i] * e[i]
         for j in range(i + 1, m):
-            center += (t[j] - c[j]) * mu[j][i]
-        c0 = round(center)
+            Cn += (T[j] - c[j] * q) * M[j][i]
+        c0 = _round_half_even(Cn, qe)
+        d0 = c0 * qe - Cn
         budget.tick()
-        contrib = (c0 - center) ** 2 * gamma[i]
-        if partial + contrib > bound[0]:
+        contrib = d0 * d0 * wi
+        if partial + contrib > lim[0]:
             return
         descend(i, partial, c0, contrib)
         up, dn = c0 + 1, c0 - 1
-        up_c = (up - center) ** 2 * gamma[i]
-        dn_c = (dn - center) ** 2 * gamma[i]
+        d_up, d_dn = d0 + qe, d0 - qe
+        up_c, dn_c = d_up * d_up * wi, d_dn * d_dn * wi
         up_alive = dn_alive = True
         while up_alive or dn_alive:
             if up_alive and (not dn_alive or up_c <= dn_c):
                 budget.tick()
-                if partial + up_c > bound[0]:
+                if partial + up_c > lim[0]:
                     up_alive = False
                 else:
                     descend(i, partial, up, up_c)
                     up += 1
-                    up_c = (up - center) ** 2 * gamma[i]
+                    d_up += qe
+                    up_c = d_up * d_up * wi
             else:
                 budget.tick()
-                if partial + dn_c > bound[0]:
+                if partial + dn_c > lim[0]:
                     dn_alive = False
                 else:
                     descend(i, partial, dn, dn_c)
                     dn -= 1
-                    dn_c = (dn - center) ** 2 * gamma[i]
+                    d_dn -= qe
+                    dn_c = d_dn * d_dn * wi
 
-    level(m - 1, Fraction(0))
+    level(m - 1, 0)
 
 
 def _to_stored(prep: _Prep, c_work: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,9 +249,13 @@ def closest_vector(L: Lattice, x, project: bool = False,
         t = linalg.rowspace_coefficients(prep.rows, x_in)
         if t is None:
             raise CertificationFailed("the projection of the target is outside span(L)")
-    rounded = tuple(round(a) for a in t)
-    start = linalg.norm_sq(linalg.vsub(linalg.vec_mat(as_vec(rounded), prep.rows),
-                                       linalg.vec_mat(t, prep.rows)))
+    # Babai's rounding in integers: |(r - t) rows|^2 summed over the
+    # Gram-Schmidt directions at the scan's scale S q^2
+    T, q = _scaled(t)
+    r = [_round_half_even(a, q) for a in T]
+    M, m = prep.M, len(T)
+    start = Fraction(sum(sum((r[j] * q - T[j]) * M[j][i] for j in range(i, m)) ** 2 * prep.w[i]
+                         for i in range(m)), prep.S * q * q)
     bound = [start]
     best: list = [start, []]
 

@@ -284,6 +284,20 @@ def clear_denominators(M: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     return scaled, D
 
 
+def _round_half_even(N: int, Q: int) -> int:
+    """round(Fraction(N, Q)) for Q > 0, ties to even, without the Fraction."""
+    k, r = divmod(N, Q)
+    if 2 * r > Q or (2 * r == Q and k % 2):
+        k += 1
+    return k
+
+
+def _scaled(x: Vec) -> tuple[list[int], int]:
+    """(xz, q) with x = xz / q, q the lcm of the denominators of x."""
+    q = lcm(*(a.denominator for a in x))
+    return [a.numerator * (q // a.denominator) for a in x], q
+
+
 def floor_sqrt(x: Fraction) -> int:
     """Largest integer t >= 0 with t*t <= x (x >= 0)."""
     if x < 0:

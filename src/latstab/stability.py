@@ -305,26 +305,12 @@ def sharpness_witness(L: Lattice, verify_radius_sq=Fraction(100),
     return SharpnessWitness(x=x, report=report, near=near)
 
 
-def _round_half_even(N: int, Q: int) -> int:
-    """round(Fraction(N, Q)) for Q > 0, ties to even, without the Fraction."""
-    k, r = divmod(N, Q)
-    if 2 * r > Q or (2 * r == Q and k % 2):
-        k += 1
-    return k
-
-
-def _scaled(x: Vec) -> tuple[list[int], int]:
-    """(xz, q) with x = xz / q, q the lcm of the denominators of x."""
-    q = lcm(*(a.denominator for a in x))
-    return [a.numerator * (q // a.denominator) for a in x], q
-
-
 def _slab_step(R: list[list[int]], T: list[int], D: int, dd: int, x: Vec) -> Vec:
     """almost_near_linear(R / D, T / dd, x) for independent integer rows R,
     in integers: with x = xz / q, H = R R^T and rho = R xz dd - T D q,
     y = (xz dd det H - R^T sigma) / (q dd det H) for sigma = det H * H^-1 rho,
     the last column of [H | rho] after the shared fraction-free elimination."""
-    xz, q = _scaled(x)
+    xz, q = linalg._scaled(x)
     M = [[sum(map(mul, a, b)) for b in R] + [sum(map(mul, a, xz)) * dd - t * D * q]
          for a, t in zip(R, T)]
     pivots, det = linalg._eliminate(M, len(R))
@@ -348,7 +334,7 @@ class _Slabs:
         self.dn, self.dd = delta.numerator, delta.denominator
 
     def products(self, x: Vec) -> tuple[list[int], int]:
-        xz, q = _scaled(x)
+        xz, q = linalg._scaled(x)
         return [sum(map(mul, u, xz)) for u in self.rows], self.D * q
 
     def violated(self, Ns: list[int], Q: int) -> list[int]:
@@ -356,9 +342,6 @@ class _Slabs:
         from every integer: (N/Q + delta) mod 1 > 2 delta, as delta < 1/2."""
         dd, shift, period, bound = self.dd, self.dn * Q, self.dd * Q, 2 * self.dn * Q
         return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
-
-    def feasible(self, x: Vec) -> bool:
-        return not self.violated(*self.products(x))
 
 
 def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
@@ -392,12 +375,13 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
     slabs = _Slabs(U, delta)
     dn, dd = slabs.dn, slabs.dd
 
-    def repair(x: Vec) -> Vec | None:
+    def repair(x: Vec) -> tuple[Vec, tuple[list[int], int]] | None:
+        """A feasible point near x with its slab products, or None."""
         for _ in range(4):
             Ns, Q = slabs.products(x)
             bad = slabs.violated(Ns, Q)
             if not bad:
-                return x
+                return x, (Ns, Q)
             rows: list[list[int]] = []
             targets: list[int] = []  # u_i.y = targets[i] / dd on the nearest slab face
             echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
@@ -412,25 +396,26 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
                 if pivot is not None:
                     echelon.append((pivot, v))
                     rows.append(slabs.rows[i])
-                    k = _round_half_even(Ns[i], Q)
+                    k = linalg._round_half_even(Ns[i], Q)
                     targets.append(k * dd - dn if Ns[i] < k * Q else k * dd + dn)
             if not rows:
                 return None
             x = _slab_step(rows, targets, slabs.D, dd, x)
-        return x if slabs.feasible(x) else None
+        Ns, Q = slabs.products(x)
+        return None if slabs.violated(Ns, Q) else (x, (Ns, Q))
 
-    def push(x: Vec, d: Vec) -> list[Vec]:
+    def push(x: Vec, prods: tuple[list[int], int], d: Vec) -> list[Vec]:
         """Candidate points farther from the current nearest dual vector,
-        staying inside the current branch slabs."""
+        staying inside the current branch slabs; prods = slabs.products(x)."""
         # with u.x = N/Q and u.d = A/Qd, the step to the face k +- delta is
         # ((k dd +- dn) Q - N dd) / A times the common positive Qd / (dd Q)
-        Ns, Q = slabs.products(x)
+        Ns, Q = prods
         As, Qd = slabs.products(d)
         num = den = 0
         for N, A in zip(Ns, As):
             if A == 0:
                 continue
-            k = _round_half_even(N, Q)
+            k = linalg._round_half_even(N, Q)
             if A > 0:
                 a, b = (k * dd + dn) * Q - N * dd, A
             else:
@@ -446,9 +431,10 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
                 linalg.vadd(x, linalg.vscale(limit / 2, d))]
 
     def local_max(x0: Vec) -> tuple[Fraction, Vec] | None:
-        x = repair(x0)
-        if x is None:
+        got = repair(x0)
+        if got is None:
             return None
+        x, prods = got
         best: tuple[Fraction, Vec] | None = None
         for _ in range(cfg.max_iters):
             near = closest_vector(Ld, x, node_budget=cfg.node_budget)
@@ -460,13 +446,13 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
             if not any(d):
                 break
             stepped = None
-            for cand in push(x, d):
+            for cand in push(x, prods or slabs.products(x), d):
                 fc = closest_vector(Ld, cand, node_budget=cfg.node_budget).dist_sq
                 if fc > f and (stepped is None or fc > stepped[0]):
                     stepped = (fc, cand)
             if stepped is None:
                 break
-            x = stepped[1]
+            x, prods = stepped[1], None
         return best
 
     starts: list[Vec] = [linalg.zeros(n)]

@@ -4,8 +4,8 @@ kernel, enumeration, LLL and the probe.
 Everything here trades speed for obviousness: coordinate boxes derived from
 the Cauchy-Schwarz bound |c_i| <= ||v|| ||w_i|| (w_i the dual rows) are
 scanned exhaustively, with no pruning and no recursion; the Fraction
-elimination, the LLL and the probe are earlier, slower versions kept as
-exact references.
+elimination, the Fraction Schnorr-Euchner scan, the LLL and the probe are
+earlier, slower versions kept as exact references.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def box_closest(L: Lattice, x):
     vector, by scanning a box around the coordinate-wise rounding."""
     x = linalg.as_vec(x)
     t = linalg.rowspace_coefficients(L.basis, x)
-    assert t is not None, "oracle targets must lie in span(L)"
+    if t is None:
+        raise ValueError("oracle targets must lie in span(L)")
     g = [round(a) for a in t]
     y0 = linalg.vec_mat(linalg.as_vec(g), L.basis)
     bound = linalg.norm_sq(linalg.vsub(x, y0))
@@ -171,6 +172,56 @@ def reference_primitive_coords(C) -> bool:
     for cols in combinations(range(len(C[0])), k):
         g = gcd(g, int(linalg.det(as_mat(tuple(tuple(row[c] for c in cols) for row in M)))))
     return g == 1
+
+
+def reference_se_scan(prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
+    """enumeration._se_scan as first written, in Fractions: the same nodes,
+    ticks, visit order and ties, with every center and every partial sum a
+    Fraction built per node."""
+    gamma, mu = prep.gamma, prep.mu
+    m = len(gamma)
+    c = [0] * m
+
+    def descend(i: int, partial: Fraction, ci: int, contrib: Fraction):
+        c[i] = ci
+        if i == 0:
+            on_leaf(tuple(c), partial + contrib)
+        else:
+            level(i - 1, partial + contrib)
+
+    def level(i: int, partial: Fraction):
+        center = t[i]
+        for j in range(i + 1, m):
+            center += (t[j] - c[j]) * mu[j][i]
+        c0 = round(center)
+        budget.tick()
+        contrib = (c0 - center) ** 2 * gamma[i]
+        if partial + contrib > bound[0]:
+            return
+        descend(i, partial, c0, contrib)
+        up, dn = c0 + 1, c0 - 1
+        up_c = (up - center) ** 2 * gamma[i]
+        dn_c = (dn - center) ** 2 * gamma[i]
+        up_alive = dn_alive = True
+        while up_alive or dn_alive:
+            if up_alive and (not dn_alive or up_c <= dn_c):
+                budget.tick()
+                if partial + up_c > bound[0]:
+                    up_alive = False
+                else:
+                    descend(i, partial, up, up_c)
+                    up += 1
+                    up_c = (up - center) ** 2 * gamma[i]
+            else:
+                budget.tick()
+                if partial + dn_c > bound[0]:
+                    dn_alive = False
+                else:
+                    descend(i, partial, dn, dn_c)
+                    dn -= 1
+                    dn_c = (dn - center) ** 2 * gamma[i]
+
+    level(m - 1, Fraction(0))
 
 
 def _points_within(L: Lattice, x: Vec, radius_sq: Fraction, node_budget: int):

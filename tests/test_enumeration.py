@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from latstab import (
     BudgetExceeded,
@@ -19,9 +20,11 @@ from latstab import (
     shortest_vector,
     successive_minima,
 )
-from latstab.enumeration import ShortVectorList
+from latstab.enumeration import ShortVectorList, _Budget, _prep, _se_scan
+from latstab.generate import random_lattice
 from conftest import seeded_lattices
-from oracles import box_closest, box_minima, box_vectors, reference_voronoi_vertex_data
+from oracles import (box_closest, box_minima, box_vectors, reference_se_scan,
+                     reference_voronoi_vertex_data)
 
 
 class TestListVectors:
@@ -108,6 +111,113 @@ class TestClosestVector:
             near = closest_vector(L, x)
             assert near.dist_sq == best
             assert near.coords == ties[0]
+
+    def test_box_oracle_rejects_target_outside_span(self):
+        L = Lattice(((F(1), F(0)),))
+        with pytest.raises(ValueError, match="oracle targets must lie in span"):
+            box_closest(L, (F(1, 4), 1))
+
+
+def _scan_trace(scan, prep, t, radius_sq, cap, shrink=False):
+    """Every leaf (coords, dsq) in visit order, the budget left and whether
+    the budget ran out; with shrink, the bound follows the best leaf as in
+    closest_vector."""
+    bound, leaves = [radius_sq], []
+
+    def on_leaf(c, dsq):
+        leaves.append((c, dsq))
+        if shrink and dsq < bound[0]:
+            bound[0] = dsq
+
+    budget = _Budget(cap, "scan", len(t), radius_sq)
+    try:
+        scan(prep, t, bound, on_leaf, budget)
+    except BudgetExceeded:
+        return leaves, budget.left, True
+    return leaves, budget.left, False
+
+
+def _babai_sq(prep, t):
+    diff = linalg.vsub(linalg.vec_mat(tuple(F(round(a)) for a in t), prep.rows),
+                       linalg.vec_mat(t, prep.rows))
+    return linalg.norm_sq(diff)
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_coords = st.one_of(_rationals, st.integers(-8, 8).map(lambda k: F(2 * k + 1, 2)))
+
+
+@st.composite
+def _rational_bases(draw):
+    """Independent rational rows, rank 1 to 6, in dimension up to rank + 1."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m, m + 1))
+    rows = draw(st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    assume(linalg.rank(linalg.as_mat(rows)) == m)
+    return Lattice(linalg.as_mat(rows))
+
+
+class TestIntegerScan:
+    """The integer scan against the Fraction scan it replaced: the same
+    leaves in the same order with the same distances, the same node count,
+    and a budget that runs out at the same tick."""
+
+    @given(_rational_bases(), st.fractions(min_value=0, max_value=3, max_denominator=9))
+    def test_listing_matches_reference(self, L, scale):
+        prep = _prep(L)
+        radius_sq = scale * max(linalg.norm_sq(r) for r in prep.rows)
+        t = linalg.zeros(L.rank)
+        want = _scan_trace(reference_se_scan, prep, t, radius_sq, 200_000)
+        assert _scan_trace(_se_scan, prep, t, radius_sq, 200_000) == want
+
+    @given(_rational_bases(), st.data())
+    def test_cvp_with_shrinking_bound_matches_reference(self, L, data):
+        prep = _prep(L)
+        t = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
+        start = _babai_sq(prep, t)
+        want = _scan_trace(reference_se_scan, prep, t, start, 200_000, shrink=True)
+        assert _scan_trace(_se_scan, prep, t, start, 200_000, shrink=True) == want
+        # closest_vector's integer Babai start is the same radius
+        with pytest.raises(BudgetExceeded, match=f"radius\\^2 {start} exceeded"):
+            closest_vector(L, linalg.vec_mat(t, prep.rows), node_budget=0)
+
+    @given(_rational_bases(), st.data())
+    def test_budget_runs_out_at_the_same_tick(self, L, data):
+        prep = _prep(L)
+        t = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
+        radius_sq = 2 * _babai_sq(prep, t) + 1
+        _, left, _ = _scan_trace(reference_se_scan, prep, t, radius_sq, 200_000)
+        nodes = 200_000 - left
+        for cap in {0, nodes // 3, nodes - 1, nodes}:
+            want = _scan_trace(reference_se_scan, prep, t, radius_sq, cap)
+            assert want[2] == (cap < nodes)
+            assert _scan_trace(_se_scan, prep, t, radius_sq, cap) == want
+
+    @pytest.mark.parametrize("t, shrink, ties", [
+        ((F(1, 2), F(1, 2), F(1, 2)), True, 8),    # the deep hole: every cube corner
+        ((F(1, 2), F(1, 2), F(1, 2)), False, 8),
+        ((F(1, 2), F(0), F(-3, 2)), True, 4),
+        ((F(0), F(0), F(0)), False, 1),
+    ])
+    def test_ties_in_the_cube_match_reference(self, z3, t, shrink, ties):
+        prep = _prep(z3)
+        want = _scan_trace(reference_se_scan, prep, t, F(3, 4), 10_000, shrink)
+        assert _scan_trace(_se_scan, prep, t, F(3, 4), 10_000, shrink) == want
+        assert len(want[0]) == ties and len({d for _, d in want[0]}) == 1
+
+    def test_rank_twelve_listing_matches_reference(self, monkeypatch):
+        """No golden case reaches rank 8 or more, so pin one rank-12 listing, up
+        to the longest working row as successive_minima lists."""
+        L = random_lattice(12001, 12, 12)
+        prep = _prep(L)
+        radius_sq = max(linalg.norm_sq(r) for r in prep.rows)
+        t = linalg.zeros(12)
+        want = _scan_trace(reference_se_scan, prep, t, radius_sq, 10_000_000)
+        got = _scan_trace(_se_scan, prep, t, radius_sq, 10_000_000)
+        assert got == want and len(want[0]) > 100
+        listed = list_vectors(L, radius_sq)
+        monkeypatch.setattr(enumeration, "_se_scan", reference_se_scan)
+        assert list_vectors(L, radius_sq) == listed
 
 
 class TestBudget:

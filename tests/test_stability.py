@@ -29,7 +29,8 @@ from latstab import (
 )
 from latstab.enumeration import _voronoi_vertex_data
 from latstab.lattice import dist_to_integers
-from latstab.stability import _round_half_even, _slab_step, _Slabs
+from latstab.linalg import _round_half_even
+from latstab.stability import _slab_step, _Slabs
 from conftest import seeded_lattices
 from oracles import reference_probe_worst_distance
 
@@ -333,7 +334,8 @@ def _same_length_pair(n):
 @given(st.integers(1, 3).flatmap(_same_length_pair), deltas_below_half)
 def test_integer_slab_test_matches_fraction(ux, delta):
     u, x = (linalg.as_vec(v) for v in ux)
-    assert _Slabs([u], delta).feasible(x) == (dist_to_integers(linalg.dot(u, x)) <= delta)
+    slabs = _Slabs([u], delta)
+    assert bool(slabs.violated(*slabs.products(x))) == (dist_to_integers(linalg.dot(u, x)) > delta)
 
 
 class TestStabilityRadius:
