@@ -85,15 +85,17 @@ class _Budget:
 class _Prep:
     rows: Mat                       # LLL-reduced working basis
     transform: tuple[tuple[int, ...], ...]  # working = transform * stored
-    gamma: tuple[Fraction, ...]     # squared Gram-Schmidt norms
-    mu: Mat
-    # the same data in integers: e[i] is the lcm of the denominators of
-    # column i of mu, M[j][i] = mu[j][i] e[i] for i <= j, S the least common
-    # multiple of e[i]^2 den(gamma[i]) and w[i] = gamma[i] S / e[i]^2
+    # the Gram-Schmidt coefficients mu and squared norms gamma of the rows in
+    # integers: e[i] is the lcm of the denominators of column i of mu,
+    # M[j][i] = mu[j][i] e[i] for i <= j, S the least common multiple of
+    # e[i]^2 den(gamma[i]) and w[i] = gamma[i] S / e[i]^2
     e: tuple[int, ...]
     M: tuple[tuple[int, ...], ...]
     S: int
     w: tuple[int, ...]
+    # sum(gamma) / 4: no target lies farther than this from Babai's
+    # nearest-plane point, which is the scan's first leaf (Babai 1986)
+    plane_sq: Fraction
 
 
 @lru_cache(maxsize=256)
@@ -105,7 +107,7 @@ def _prep(L: Lattice) -> _Prep:
               + (e[j],) for j in range(m))
     S = lcm(*(ei * ei * g.denominator for ei, g in zip(e, gamma)))
     w = tuple(g.numerator * (S // (ei * ei * g.denominator)) for ei, g in zip(e, gamma))
-    return _Prep(rows=rows, transform=U, gamma=gamma, mu=mu, e=e, M=M, S=S, w=w)
+    return _Prep(rows=rows, transform=U, e=e, M=M, S=S, w=w, plane_sq=sum(gamma) / 4)
 
 
 def _se_scan(prep: _Prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
@@ -249,15 +251,8 @@ def closest_vector(L: Lattice, x, project: bool = False,
         t = linalg.rowspace_coefficients(prep.rows, x_in)
         if t is None:
             raise CertificationFailed("the projection of the target is outside span(L)")
-    # Babai's rounding in integers: |(r - t) rows|^2 summed over the
-    # Gram-Schmidt directions at the scan's scale S q^2
-    T, q = _scaled(t)
-    r = [_round_half_even(a, q) for a in T]
-    M, m = prep.M, len(T)
-    start = Fraction(sum(sum((r[j] * q - T[j]) * M[j][i] for j in range(i, m)) ** 2 * prep.w[i]
-                         for i in range(m)), prep.S * q * q)
-    bound = [start]
-    best: list = [start, []]
+    bound = [prep.plane_sq]
+    best: list = [prep.plane_sq, []]
 
     def on_leaf(c_work: tuple[int, ...], dsq: Fraction):
         if dsq < best[0]:
@@ -267,7 +262,7 @@ def closest_vector(L: Lattice, x, project: bool = False,
         elif dsq == best[0]:
             best[1].append(c_work)
 
-    _se_scan(prep, t, bound, on_leaf, _Budget(node_budget, "closest_vector", L.rank, start))
+    _se_scan(prep, t, bound, on_leaf, _Budget(node_budget, "closest_vector", L.rank, prep.plane_sq))
     coords = min(_to_stored(prep, c) for c in best[1])
     point = linalg.vec_mat(as_vec(coords), L.basis)
     return NearResult(point=point, coords=coords, dist_sq=best[0] + extra)
@@ -276,7 +271,7 @@ def closest_vector(L: Lattice, x, project: bool = False,
 def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
     """min(m^2/4 * lambda_m^2, sum of |b*_i|^2 / 4): two upper bounds on mu(L)^2."""
     lam_m_sq = successive_minima(L, node_budget=node_budget).minima_sq[-1]
-    return min(Fraction(L.rank ** 2, 4) * lam_m_sq, Fraction(1, 4) * sum(_prep(L).gamma))
+    return min(Fraction(L.rank ** 2, 4) * lam_m_sq, _prep(L).plane_sq)
 
 
 @lru_cache(maxsize=256)

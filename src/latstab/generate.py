@@ -10,9 +10,11 @@ from .errors import DependentRows, GenerationFailed
 from .lattice import Lattice
 from .rng import SplitMix64
 
+MAX_ATTEMPTS = 1000
+
 
 def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
-                   min_lambda1_sq=None, max_attempts: int = 1000) -> Lattice:
+                   min_lambda1_sq=None) -> Lattice:
     """Random full-rank integer basis of m rows in Z^n, entries drawn
     uniformly from [-entry_bound, entry_bound]. Rank-deficient draws are
     rejected. When min_lambda1_sq is given, the basis is rescaled by the
@@ -23,7 +25,7 @@ def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
     if entry_bound < 1:
         raise ValueError("entry_bound must be at least 1")
     rng = SplitMix64(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         rows = tuple(
             tuple(Fraction(rng.int_between(-entry_bound, entry_bound)) for _ in range(n))
             for _ in range(m)
@@ -43,4 +45,4 @@ def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
         _, lam1_scaled = shortest_vector(scaled)
         if lam1_scaled >= min_lambda1_sq:
             return scaled
-    raise GenerationFailed(f"no suitable basis after {max_attempts} attempts")
+    raise GenerationFailed(f"no suitable basis after {MAX_ATTEMPTS} attempts")

@@ -7,7 +7,7 @@ computed once and then updated exactly and incrementally at each
 size-reduction step and swap, never recomputed. Minkowski reduction is the
 greedy scheme: each step takes a shortest lattice vector that keeps the
 chosen prefix extendable to a basis. It is exact but enumerative, hence
-capped at small rank.
+capped at rank 4, where one listing holds every row.
 """
 
 from __future__ import annotations
@@ -123,40 +123,36 @@ def _ambient_canonical(vec: Vec, coords: tuple[int, ...]) -> tuple[Vec, tuple[in
     return vec, coords
 
 
-def _shortest_extendable(L: Lattice, chosen_coords: list[tuple[int, ...]],
-                         start_radius_sq: Fraction, node_budget: int) -> tuple[Vec, tuple[int, ...]]:
-    """Shortest vector keeping the prefix primitive; ties go to the
-    lexicographically greatest sign-canonical ambient vector."""
-    from .enumeration import list_vectors
+def minkowski_reduce(L: Lattice, node_budget: int | None = None) -> ReducedBasis:
+    """Greedy Minkowski reduction; exact, available up to rank MINKOWSKI_MAX_RANK.
 
-    radius_sq = start_radius_sq
-    while True:
-        ranked = []
-        for coords, nsq in list_vectors(L, radius_sq, node_budget=node_budget).vectors:
-            vec = linalg.vec_mat(as_vec(coords), L.basis)
-            vec, coords = _ambient_canonical(vec, coords)
-            ranked.append((nsq, tuple(-a for a in vec), vec, coords))
-        for nsq, _, vec, coords in sorted(ranked):
-            if _primitive_coords(chosen_coords + [coords]):
-                return vec, coords
-        radius_sq *= 4
-
-
-def minkowski_reduce(L: Lattice, max_rank: int = MINKOWSKI_MAX_RANK,
-                     node_budget: int | None = None) -> ReducedBasis:
-    """Greedy Minkowski reduction; exact, available up to max_rank."""
-    from .enumeration import DEFAULT_NODE_BUDGET, _prep
+    Row k is a shortest vector keeping rows 1..k primitive; ties go to the
+    lexicographically greatest sign-canonical ambient vector. Up to rank 4
+    the row norms are the successive minima (van der Waerden 1956), so one
+    listing up to the longest LLL row holds every row, and one walk of it
+    in rank order finds them all: a vector that breaks a prefix breaks every
+    longer prefix, since a subset of a primitive system is primitive."""
+    from .enumeration import DEFAULT_NODE_BUDGET, _prep, list_vectors
 
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    if L.rank > max_rank:
-        raise RankTooLarge(f"Minkowski reduction capped at rank {max_rank}, got {L.rank}")
-    start = max(linalg.norm_sq(r) for r in _prep(L).rows)
+    if L.rank > MINKOWSKI_MAX_RANK:
+        raise RankTooLarge(f"Minkowski reduction capped at rank {MINKOWSKI_MAX_RANK}, got {L.rank}")
+    radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
+    ranked = []
+    for coords, nsq in list_vectors(L, radius_sq, node_budget=budget).vectors:
+        vec, coords = _ambient_canonical(linalg.vec_mat(as_vec(coords), L.basis), coords)
+        ranked.append((nsq, tuple(-a for a in vec), vec, coords))
     rows: list[Vec] = []
-    coords: list[tuple[int, ...]] = []
-    for _ in range(L.rank):
-        vec, c = _shortest_extendable(L, coords, start, budget)
-        rows.append(vec)
-        coords.append(c)
+    chosen: list[tuple[int, ...]] = []
+    for _, _, vec, coords in sorted(ranked):
+        if _primitive_coords(chosen + [coords]):
+            rows.append(vec)
+            chosen.append(coords)
+            if len(rows) == L.rank:
+                break
+    if len(rows) != L.rank:
+        raise CertificationFailed(f"the listing up to the longest LLL row holds "
+                                  f"{len(rows)} Minkowski rows, not {L.rank}")
     return ReducedBasis(
         lattice=Lattice(tuple(rows)),
         kind="minkowski",

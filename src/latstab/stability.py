@@ -41,6 +41,7 @@ from .rng import SplitMix64
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+POWER_ITERS = 24  # power-iteration steps of the display-only sigma_min estimate
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class ResidualReport:
     sigma_min_estimate: float     # power-iteration estimate, approximate
 
 
-def residual_amplification(A, b, x, power_iters: int = 24, seed: int = 0) -> ResidualReport:
+def residual_amplification(A, b, x, seed: int = 0) -> ResidualReport:
     """How much the correction ||x - y|| can exceed the residual ||Ax - b||.
 
     The correction lies in the row space, where ||Av|| >= sigma_min ||v||, so
@@ -174,7 +175,7 @@ def residual_amplification(A, b, x, power_iters: int = 24, seed: int = 0) -> Res
         raise CertificationFailed("correction^2 * sigma_min^2 lower bound exceeds residual^2")
     rng = SplitMix64(seed)
     v = as_vec([rng.int_between(1, 16) for _ in range(len(A))])
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         v = linalg.mat_vec(Ginv, v)
         scale = max(abs(e) for e in v)
         v = tuple(e / scale for e in v)

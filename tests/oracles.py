@@ -4,8 +4,9 @@ kernel, enumeration, LLL and the probe.
 Everything here trades speed for obviousness: coordinate boxes derived from
 the Cauchy-Schwarz bound |c_i| <= ||v|| ||w_i|| (w_i the dual rows) are
 scanned exhaustively, with no pruning and no recursion; the Fraction
-elimination, the Fraction Schnorr-Euchner scan, the LLL and the probe are
-earlier, slower versions kept as exact references.
+elimination, the Fraction Schnorr-Euchner scan, the CVP, the Minkowski
+reduction, the LLL and the probe are earlier, slower versions kept as exact
+references.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from math import gcd
 
 from latstab import CertificationFailed, DependentRows, Lattice, ProbeConfig, SingularMatrix, dual
 from latstab import linalg
-from latstab.enumeration import (_Budget, _prep, _se_scan, _to_stored, _voronoi_vertex_data,
-                                 closest_vector, list_vectors, successive_minima)
+from latstab.enumeration import (NearResult, _Budget, _prep, _se_scan, _to_stored,
+                                 _voronoi_vertex_data, closest_vector, list_vectors,
+                                 successive_minima)
 from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
+from latstab.reduction import ReducedBasis, _ambient_canonical, _primitive_coords
 from latstab.rng import SplitMix64
 from latstab.stability import HALF, THIRD, almost_near_linear
 
@@ -177,8 +180,10 @@ def reference_primitive_coords(C) -> bool:
 def reference_se_scan(prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """enumeration._se_scan as first written, in Fractions: the same nodes,
     ticks, visit order and ties, with every center and every partial sum a
-    Fraction built per node."""
-    gamma, mu = prep.gamma, prep.mu
+    Fraction built per node. gamma and mu come from a fresh Gram-Schmidt of
+    the working rows, independent of LLL's incremental updates."""
+    bstar, mu = linalg.gram_schmidt(prep.rows)
+    gamma = [linalg.norm_sq(b) for b in bstar]
     m = len(gamma)
     c = [0] * m
 
@@ -224,6 +229,59 @@ def reference_se_scan(prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Bud
     level(m - 1, Fraction(0))
 
 
+def babai_rounding_sq(prep, t: Vec) -> Fraction:
+    """Squared distance from the working coordinates t to their rounding."""
+    diff = linalg.vsub(linalg.vec_mat(tuple(Fraction(round(a)) for a in t), prep.rows),
+                       linalg.vec_mat(t, prep.rows))
+    return linalg.norm_sq(diff)
+
+
+def reference_closest_vector(L: Lattice, x) -> NearResult:
+    """closest_vector as it was before the nearest-plane start, for x in
+    span(L): the Fraction scan seeded with babai_rounding_sq, the bound
+    shrinking to each better leaf, and the least stored-coordinate vector
+    among the nearest leaves."""
+    prep = _prep(L)
+    t = linalg.rowspace_coefficients(prep.rows, as_vec(x))
+    start = babai_rounding_sq(prep, t)
+    bound, best = [start], [start, []]
+
+    def on_leaf(c, dsq):
+        if dsq < best[0]:
+            best[0], best[1], bound[0] = dsq, [c], dsq
+        elif dsq == best[0]:
+            best[1].append(c)
+
+    reference_se_scan(prep, t, bound, on_leaf, _Budget(10_000_000, "closest_vector", L.rank, start))
+    coords = min(_to_stored(prep, c) for c in best[1])
+    return NearResult(point=linalg.vec_mat(as_vec(coords), L.basis), coords=coords, dist_sq=best[0])
+
+
+def reference_minkowski_reduce(L: Lattice, node_budget: int = 10_000_000) -> ReducedBasis:
+    """minkowski_reduce as it was before one listing served every row: a
+    fresh listing per row from the longest LLL row, the radius quadrupled
+    until some listed vector keeps the prefix primitive."""
+    radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
+    rows, chosen = [], []
+    for _ in range(L.rank):
+        r = radius_sq
+        while True:
+            ranked = []
+            for coords, nsq in list_vectors(L, r, node_budget=node_budget).vectors:
+                vec = linalg.vec_mat(as_vec(coords), L.basis)
+                vec, coords = _ambient_canonical(vec, coords)
+                ranked.append((nsq, tuple(-a for a in vec), vec, coords))
+            pick = next(((vec, c) for _, _, vec, c in sorted(ranked)
+                         if _primitive_coords(chosen + [c])), None)
+            if pick is not None:
+                break
+            r *= 4
+        rows.append(pick[0])
+        chosen.append(pick[1])
+    return ReducedBasis(lattice=Lattice(tuple(rows)), kind="minkowski",
+                        norms_sq=tuple(linalg.norm_sq(v) for v in rows))
+
+
 def _points_within(L: Lattice, x: Vec, radius_sq: Fraction, node_budget: int):
     """All lattice points within radius of x (x in span(L)), as stored-basis
     coordinates with exact squared distances."""
@@ -255,7 +313,8 @@ def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
     m = L.rank
     G = L.gram_matrix
     mins = successive_minima(L, node_budget=node_budget)
-    mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1], Fraction(1, 4) * sum(_prep(L).gamma))
+    gamma = [linalg.norm_sq(b) for b in linalg.gram_schmidt(_prep(L).rows)[0]]
+    mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1], Fraction(1, 4) * sum(gamma))
     candidates = list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget)
     constraints = []
     for c, _ in candidates.vectors:

@@ -23,8 +23,8 @@ from latstab import (
 from latstab.enumeration import ShortVectorList, _Budget, _prep, _se_scan
 from latstab.generate import random_lattice
 from conftest import seeded_lattices
-from oracles import (box_closest, box_minima, box_vectors, reference_se_scan,
-                     reference_voronoi_vertex_data)
+from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors,
+                     reference_closest_vector, reference_se_scan, reference_voronoi_vertex_data)
 
 
 class TestListVectors:
@@ -137,12 +137,6 @@ def _scan_trace(scan, prep, t, radius_sq, cap, shrink=False):
     return leaves, budget.left, False
 
 
-def _babai_sq(prep, t):
-    diff = linalg.vsub(linalg.vec_mat(tuple(F(round(a)) for a in t), prep.rows),
-                       linalg.vec_mat(t, prep.rows))
-    return linalg.norm_sq(diff)
-
-
 _rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 _coords = st.one_of(_rationals, st.integers(-8, 8).map(lambda k: F(2 * k + 1, 2)))
 
@@ -174,18 +168,30 @@ class TestIntegerScan:
     def test_cvp_with_shrinking_bound_matches_reference(self, L, data):
         prep = _prep(L)
         t = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
-        start = _babai_sq(prep, t)
+        start = babai_rounding_sq(prep, t)
         want = _scan_trace(reference_se_scan, prep, t, start, 200_000, shrink=True)
         assert _scan_trace(_se_scan, prep, t, start, 200_000, shrink=True) == want
-        # closest_vector's integer Babai start is the same radius
-        with pytest.raises(BudgetExceeded, match=f"radius\\^2 {start} exceeded"):
+        # closest_vector starts from the nearest-plane bound sum(gamma) / 4
+        plane_sq = sum(linalg.norm_sq(b) for b in linalg.gram_schmidt(prep.rows)[0]) / 4
+        with pytest.raises(BudgetExceeded) as err:
             closest_vector(L, linalg.vec_mat(t, prep.rows), node_budget=0)
+        assert str(err.value) == (f"closest_vector at rank {L.rank}, radius^2 {plane_sq} "
+                                  f"exceeded node budget 0")
+
+    @given(_rational_bases(), st.data())
+    def test_nearest_plane_start_changes_no_answer(self, L, data):
+        """The scan seeded with sum(gamma) / 4 finds the same point, coordinates
+        and distance as the Fraction scan seeded with the Babai rounding."""
+        prep = _prep(L)
+        t = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
+        x = linalg.vec_mat(t, prep.rows)
+        assert closest_vector(L, x) == reference_closest_vector(L, x)
 
     @given(_rational_bases(), st.data())
     def test_budget_runs_out_at_the_same_tick(self, L, data):
         prep = _prep(L)
         t = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
-        radius_sq = 2 * _babai_sq(prep, t) + 1
+        radius_sq = 2 * babai_rounding_sq(prep, t) + 1
         _, left, _ = _scan_trace(reference_se_scan, prep, t, radius_sq, 200_000)
         nodes = 200_000 - left
         for cap in {0, nodes // 3, nodes - 1, nodes}:
@@ -232,9 +238,9 @@ class TestBudget:
         assert str(err.value) == "list_vectors at rank 3, radius^2 400 exceeded node budget 50"
 
     @pytest.mark.parametrize("search, cap, message", [
-        # the search radius of a CVP is its Babai start, (1/3)^2 + (1/2)^2 + (1/3)^2
+        # the search radius of a CVP is the nearest-plane bound, 3 * 1/4 on Z^3
         (lambda L, cap: closest_vector(L, (F(1, 3), F(1, 2), F(2, 3)), node_budget=cap), 2,
-         "closest_vector at rank 3, radius^2 17/36"),
+         "closest_vector at rank 3, radius^2 3/4"),
     ])
     def test_error_names_search(self, z3, search, cap, message):
         with pytest.raises(BudgetExceeded) as err:

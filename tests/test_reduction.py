@@ -21,7 +21,8 @@ from latstab import (
 from latstab.enumeration import ShortVectorList
 from latstab.reduction import DEFAULT_DELTA, _lll_rows, _primitive_coords
 from conftest import seeded_lattices
-from oracles import lll_violations, reference_lll_rows, reference_primitive_coords, same_lattice
+from oracles import (lll_violations, reference_lll_rows, reference_minkowski_reduce,
+                     reference_primitive_coords, same_lattice)
 
 
 class TestLLL:
@@ -121,6 +122,46 @@ class TestMinkowski:
         red = minkowski_reduce(random_lattice(7, 3, 3))
         assert len(calls) == 1
         assert red.basis == ((2, -2, 2), (4, 4, 2), (6, 1, -7))
+
+    def test_one_listing_per_reduction(self, monkeypatch):
+        calls = []
+        listing = enumeration.list_vectors
+
+        def counted(L, radius_sq, node_budget):
+            calls.append(radius_sq)
+            return listing(L, radius_sq, node_budget=node_budget)
+
+        monkeypatch.setattr(enumeration, "list_vectors", counted)
+        minkowski_reduce(random_lattice(7, 4, 4))
+        assert len(calls) == 1
+
+    def test_listing_short_of_full_rank_rejected(self, z2, monkeypatch):
+        # a listing that lacks e2, which the second row needs
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda L, r, node_budget: ShortVectorList(r, (((1, 0), F(1)),)))
+        with pytest.raises(CertificationFailed, match="holds 1 Minkowski rows, not 2"):
+            minkowski_reduce(z2)
+
+    @pytest.mark.parametrize("entry_bound, rational", [(4, False), (4, True), (30, False), (30, True)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_per_row_reference(self, m, entry_bound, rational):
+        """One walk of one listing against a fresh listing per row, with its
+        radius growth, in dimensions m and 4; rational bases divide row i by
+        a number in 1..4."""
+        for seed in range(8):
+            L = random_lattice(4100 + seed, 4 if seed % 2 else m, m, entry_bound=entry_bound)
+            if rational:
+                L = Lattice(tuple(linalg.vscale(F(1, (seed + i) % 4 + 1), r)
+                                  for i, r in enumerate(L.basis)))
+            assert minkowski_reduce(L) == reference_minkowski_reduce(L)
+
+    def test_walk_passes_over_multiples(self):
+        """The listing up to the longest LLL row, 9, ranks (1, 0), (2, 0),
+        (3, 0), (0, 3); the walk keeps the first and the last."""
+        L = Lattice(((F(1), F(0)), (F(0), F(3))))
+        red = minkowski_reduce(L)
+        assert red.basis == ((1, 0), (0, 3))
+        assert red == reference_minkowski_reduce(L)
 
     def test_norms_sorted_nondecreasing(self):
         red = minkowski_reduce(Lattice(((F(5), F(3)), (F(2), F(1)))))
