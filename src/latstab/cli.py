@@ -76,7 +76,7 @@ def _json(value, display=False):
     if isinstance(value, Fraction):
         return float(value) if display else str(value)
     if dataclasses.is_dataclass(value):
-        value = vars(value)
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _json(v, display or k == "display") for k, v in value.items()}
     if isinstance(value, (tuple, list)):

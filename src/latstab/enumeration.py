@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
 
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge, SingularMatrix
-from .lattice import Lattice
+from .lattice import Lattice, per_lattice
 from .linalg import Mat, Vec, _round_half_even, _scaled, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, _lll_rows
 from .rng import SplitMix64
@@ -98,7 +97,7 @@ class _Prep:
     plane_sq: Fraction
 
 
-@lru_cache(maxsize=256)
+@per_lattice
 def _prep(L: Lattice) -> _Prep:
     rows, U, gamma, mu = _lll_rows(L.basis, DEFAULT_DELTA)
     m = len(rows)
@@ -209,12 +208,12 @@ def shortest_vector(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple
     """A shortest nonzero vector as (coords, norm_sq); ties resolved to the
     lexicographically smallest sign-canonical coordinate vector."""
     start = min(linalg.norm_sq(r) for r in _prep(L).rows)
-    hits = list_vectors(L, start, node_budget=node_budget)
-    return hits.vectors[0]
+    return list_vectors(L, start, node_budget=node_budget).vectors[0]
 
 
+@per_lattice
 def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> SuccessiveMinima:
-    """All rank many successive minima, with rank-increasing witnesses."""
+    """All rank many successive minima, with rank-increasing witnesses; kept on L."""
     radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
     minima: list[Fraction] = []
     achieving: list[tuple[int, ...]] = []
@@ -245,7 +244,7 @@ def closest_vector(L: Lattice, x, project: bool = False,
     extra = Fraction(0)
     if t is None:
         if not project:
-            raise NotInSpan("target is outside span(L); pass project=True to allow")
+            raise NotInSpan("target is outside span(L)")
         x_in = linalg.project_onto_rowspace(L.basis, x)
         extra = linalg.norm_sq(linalg.vsub(x, x_in))
         t = linalg.rowspace_coefficients(prep.rows, x_in)
@@ -274,12 +273,11 @@ def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
     return min(Fraction(L.rank ** 2, 4) * lam_m_sq, _prep(L).plane_sq)
 
 
-@lru_cache(maxsize=256)
+@per_lattice
 def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...], Fraction, Vec]:
     """Vertices of the Voronoi cell of the origin (ambient coordinates),
-    the exact squared covering radius, and the witness vertex. Cached per
-    (lattice, budget): every probe level and covering radius of one run
-    shares one cell."""
+    the exact squared covering radius, and the witness vertex. Kept on L, so
+    every probe level and covering radius of one run shares one cell."""
     m = L.rank
     if m > 3:
         raise RankTooLarge(f"exact covering radius capped at rank 3, got {m}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import floor
 
 from . import linalg
@@ -24,6 +24,20 @@ def dist_to_integers(a: Fraction | int | str) -> Fraction:
     a = linalg.as_rational(a)
     frac = a - floor(a)
     return min(frac, 1 - frac)
+
+
+def per_lattice(build):
+    """Run build(L, ...) once per Lattice object and keep the result in that
+    object's __dict__, as cached_property keeps gram_matrix. A stored result is
+    returned whatever budget a later call passes; a build that raises stores nothing."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @wraps(build)
+    def stored(L: Lattice, *args, **kwargs):
+        if key not in L.__dict__:
+            L.__dict__[key] = build(L, *args, **kwargs)
+        return L.__dict__[key]
+    return stored
 
 
 @dataclass(frozen=True)
@@ -62,8 +76,10 @@ class Lattice:
         return Lattice(tuple(tuple(Fraction(a, D) for a in row) for row in reduced))
 
 
+@per_lattice
 def dual(L: Lattice) -> Lattice:
-    """Dual lattice inside span(L): the rows W with gram(B) W = B, biorthogonal to B."""
+    """Dual lattice inside span(L): the rows W with gram(B) W = B, biorthogonal to B.
+    Kept on L (not L on it, so dual(dual(L)) is computed afresh)."""
     return Lattice(linalg.solve_matrix(L.gram_matrix, L.basis))
 
 

@@ -249,11 +249,10 @@ def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,
     than a verdict it cannot certify.
     """
     m = L.rank
-    Ld = dual(L)
     mins = successive_minima(L, node_budget=node_budget).minima_sq
-    dmins = successive_minima(Ld, node_budget=node_budget).minima_sq
+    dmins = successive_minima(dual(L), node_budget=node_budget).minima_sq
     mode = "exact" if m <= 3 else "heuristic"
-    mu = covering_radius(Ld, mode, seed=seed, node_budget=node_budget)
+    mu = covering_radius(dual(L), mode, seed=seed, node_budget=node_budget)
     rank_bound = Fraction(m * m)
     fact_bound = Fraction(factorial(m)) ** 2
     per_k = tuple(
@@ -609,14 +608,13 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
         if c <= 0 or d <= 0:
             raise ValueError("family scales must be positive")
         L = Lattice(as_mat([[c, 0], [0, d]]))
-        Ld = dual(L)
         probe = stability_radius(L, delta, epsilon_sq, cfg)
         out.append(FamilyDiagnostics(
             scale=d,
             lattice=L,
             minima_sq=successive_minima(L).minima_sq,
-            dual_minima_sq=successive_minima(Ld).minima_sq,
-            mu_dual_sq=covering_radius(Ld, "exact").lower_sq,
+            dual_minima_sq=successive_minima(dual(L)).minima_sq,
+            mu_dual_sq=covering_radius(dual(L), "exact").lower_sq,
             probe=probe,
         ))
     return tuple(out)

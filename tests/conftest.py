@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from latstab import Lattice
-from latstab.enumeration import _prep, _voronoi_vertex_data
 from latstab.rng import SplitMix64
 
 settings.register_profile(
@@ -14,14 +13,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
-
-
-@pytest.fixture(autouse=True)
-def clear_lattice_caches():
-    """Per-lattice caches start empty in every test, so a test that
-    monkeypatches the listing cannot leave a wrong basis or cell behind."""
-    _prep.cache_clear()
-    _voronoi_vertex_data.cache_clear()
 
 
 def seeded_lattices(base_seed: int, count: int, n_max: int, m_max: int | None = None,

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import latstab
 from latstab import parse_lattice_file, parse_lattice_text
-from latstab.cli import main
+from latstab.cli import _json, main
 
 
 @pytest.fixture
@@ -76,6 +76,11 @@ class TestEnvelope:
 
 
 class TestCommands:
+    def test_json_reads_dataclass_fields(self):
+        L = parse_lattice_text("2 2\n2 0\n0 1/2\n")
+        latstab.dual(L)  # keeps data on L beside its one field
+        assert _json(L) == {"basis": [["2", "0"], ["0", "1/2"]]}
+
     def test_minima_json_and_csv(self, run, mixed_file):
         _, out, _ = run("minima", mixed_file)
         assert doc_of(out)["results"]["minima_sq"] == ["1/4", "4"]
@@ -231,6 +236,15 @@ class TestExitCodes:
         code, _, err = run("covering", str(path), "--mode", "exact")
         assert code == 2
         assert "rank" in err
+
+    def test_near_dual_outside_span(self, run, tmp_path):
+        path = tmp_path / "plane.txt"
+        path.write_text("3 2\n1 0 0\n0 1 0\n")
+        code, out, err = run("near-dual", str(path), "-x", "0 0 1")
+        assert (code, out) == (2, "")
+        assert err == "error: target is outside span(L)\n"
+        code, _, err = run("cvp", str(path), "-x", "0 0 1")
+        assert code == 2 and err.endswith("rerun with --project\n")
 
     @pytest.mark.parametrize("argv", [
         ("cvp", "-x", "1 2 3"),

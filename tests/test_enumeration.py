@@ -288,8 +288,14 @@ class TestCoveringRadius:
     def test_cell_cached_per_lattice_and_immutable(self, z2):
         first = enumeration._voronoi_vertex_data(z2, 10_000)
         assert isinstance(first[0], tuple)
-        assert enumeration._voronoi_vertex_data(Lattice(z2.basis), 10_000) is first
-        assert enumeration._voronoi_vertex_data.cache_info().misses == 1
+        assert enumeration._voronoi_vertex_data(z2, 10_000) is first
+
+    def test_cell_over_budget_is_not_kept(self, z2):
+        with pytest.raises(BudgetExceeded):
+            enumeration._voronoi_vertex_data(z2, 1)
+        first = enumeration._voronoi_vertex_data(z2, 10_000)
+        # a kept cell is returned whatever budget a later call passes
+        assert enumeration._voronoi_vertex_data(z2, 1) is first
 
     @pytest.mark.parametrize("rows, pairs, count, mu_sq", [
         (((1, 0), (0, 1)), 2, 4, F(1, 2)),

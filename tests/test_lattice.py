@@ -46,6 +46,12 @@ class TestDual:
         assert dual(dual(skew2)).basis == skew2.basis
         assert double_dual_check(skew2)
 
+    def test_dual_kept_on_lattice_but_not_back(self, skew2):
+        assert dual(skew2) is dual(skew2)
+        twice = dual(dual(skew2))
+        assert twice is not skew2
+        assert twice == skew2
+
     def test_lower_rank_dual_stays_in_span(self):
         L = Lattice(((F(1), F(1)),))
         W = dual(L)

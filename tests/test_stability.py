@@ -15,6 +15,7 @@ from latstab import (
     check_hypothesis,
     degenerate_family,
     dual,
+    enumeration,
     linalg,
     list_vectors,
     near_dual_vector,
@@ -27,7 +28,6 @@ from latstab import (
     stability_radius,
     transference_check,
 )
-from latstab.enumeration import _voronoi_vertex_data
 from latstab.lattice import dist_to_integers
 from latstab.linalg import _round_half_even
 from latstab.stability import _slab_step, _Slabs
@@ -157,6 +157,19 @@ class TestAlmostNearLinear:
 
 
 class TestTransference:
+    def test_minima_listed_once_per_lattice(self, monkeypatch):
+        listed = []
+        real = enumeration.list_vectors
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda K, r2, node_budget: listed.append((K, r2)) or
+                            real(K, r2, node_budget))
+        L = random_lattice(11, 3, 3)
+        transference_check(L)
+        for K in (L, dual(L)):
+            # successive_minima lists up to the longest working row
+            top = max(linalg.norm_sq(r) for r in enumeration._prep(K).rows)
+            assert sum(J == K and r2 == top for J, r2 in listed) == 1
+
     def test_unit_lattices_satisfy_everything(self, z1, z2, z3):
         for L in (z1, z2, z3):
             rep = transference_check(L)
@@ -363,11 +376,25 @@ class TestStabilityRadius:
         assert probe.sufficient_bound_sq <= F(1, 100)
         assert probe.f_hat_sq[-1] <= F(1, 100)
 
-    def test_one_voronoi_cell_per_lattice(self):
+    def test_one_voronoi_cell_per_lattice(self, monkeypatch):
+        preps, solves, cells = [], [], []
+        real_lll, real_solve = enumeration._lll_rows, linalg.solve_matrix
+        real_upper = enumeration._covering_upper_sq
+        # here _lll_rows, a solve on the basis of L and _covering_upper_sq are
+        # called only by the builds of _prep, dual and the cell
+        monkeypatch.setattr(enumeration, "_lll_rows",
+                            lambda B, delta: preps.append(B) or real_lll(B, delta))
+        monkeypatch.setattr(linalg, "solve_matrix",
+                            lambda M, R: solves.append(R) or real_solve(M, R))
+        monkeypatch.setattr(enumeration, "_covering_upper_sq",
+                            lambda K, budget: cells.append(K) or real_upper(K, budget))
         L = random_lattice(11, 3, 3)
         probe = stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=3)
         assert len(probe.radius_grid) == 3
-        assert _voronoi_vertex_data.cache_info().misses == 1
+        Ld = dual(L)
+        assert sorted(map(id, preps)) == sorted((id(L.basis), id(Ld.basis)))
+        assert sum(R is L.basis for R in solves) == 1
+        assert len(cells) == 1 and cells[0] is Ld
 
     def test_levels_dropped(self, mixed2):
         # the norms 4a^2 + b^2/4 of mixed2 up to its sufficient radius^2 256
