@@ -76,7 +76,7 @@ def _json(value, display=False):
     if isinstance(value, Fraction):
         return float(value) if display else str(value)
     if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        value = dataclasses.asdict(value)
     if isinstance(value, dict):
         return {k: _json(v, display or k == "display") for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -85,7 +85,7 @@ def _json(value, display=False):
 
 
 def _near(r: NearResult) -> dict:
-    return {**vars(r), "display": {"point": r.point, "dist": sqrt(r.dist_sq)}}
+    return {**dataclasses.asdict(r), "display": {"point": r.point, "dist": sqrt(r.dist_sq)}}
 
 
 def _arg(parse):
@@ -196,15 +196,15 @@ def _cmd_cvp(args, L):
 def _cmd_covering(args, L):
     bounds = covering_radius(L, args.mode, seed=args.seed, restarts=args.restarts,
                              node_budget=args.node_budget)
-    return {**vars(bounds), "display": {"lower": sqrt(bounds.lower_sq),
-                                        "upper": sqrt(bounds.upper_sq),
-                                        "witness": bounds.witness}}, EXIT_OK, None
+    return {**dataclasses.asdict(bounds),
+            "display": {"lower": sqrt(bounds.lower_sq), "upper": sqrt(bounds.upper_sq),
+                        "witness": bounds.witness}}, EXIT_OK, None
 
 
 def _cmd_transference(args, L):
     rep = transference_check(L, node_budget=args.node_budget, seed=args.seed)
     mu = rep.mu_dual
-    results = {**vars(rep),
+    results = {**dataclasses.asdict(rep),
                "mu_dual": {"lower_sq": mu.lower_sq, "upper_sq": mu.upper_sq, "exact": mu.exact},
                "all_satisfied": rep.all_satisfied, "any_violation": rep.any_violation}
     return results, EXIT_VERDICT if rep.any_violation else EXIT_OK, None

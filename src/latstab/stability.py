@@ -355,8 +355,9 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
     per constraint, repaired onto the slab faces by exact least squares,
     then pushed away from its nearest dual point until a slab face blocks.
     The returned witness is exactly feasible, so the value is a certified
-    lower bound for the true worst case. The origin is always a feasible
-    start, hence the probe never fails.
+    lower bound for the true worst case. The answer starts at (0, origin),
+    feasible and on the dual, so the probe never fails; ties go to the least
+    witness, so the order of the starts does not matter.
     """
     cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
@@ -377,16 +378,18 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
 
     def repair(x: Vec) -> tuple[Vec, tuple[list[int], int]] | None:
         """A feasible point near x with its slab products, or None."""
-        for _ in range(4):
+        for step in range(5):
             Ns, Q = slabs.products(x)
             bad = slabs.violated(Ns, Q)
             if not bad:
                 return x, (Ns, Q)
+            if step == 4:
+                return None
             rows: list[list[int]] = []
             targets: list[int] = []  # u_i.y = targets[i] / dd on the nearest slab face
             echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
             for i in bad:
-                if len(rows) == n:
+                if len(rows) == m:
                     break
                 v = slabs.rows[i]
                 for j, e in echelon:
@@ -398,11 +401,7 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
                     rows.append(slabs.rows[i])
                     k = linalg._round_half_even(Ns[i], Q)
                     targets.append(k * dd - dn if Ns[i] < k * Q else k * dd + dn)
-            if not rows:
-                return None
             x = _slab_step(rows, targets, slabs.D, dd, x)
-        Ns, Q = slabs.products(x)
-        return None if slabs.violated(Ns, Q) else (x, (Ns, Q))
 
     def push(x: Vec, prods: tuple[list[int], int], d: Vec) -> list[Vec]:
         """Candidate points farther from the current nearest dual vector,
@@ -431,31 +430,27 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
                 linalg.vadd(x, linalg.vscale(limit / 2, d))]
 
     def local_max(x0: Vec) -> tuple[Fraction, Vec] | None:
-        got = repair(x0)
+        """Ascend from the repaired x0 to the farthest push candidate while it
+        is farther than the current point: the distance rises at every step,
+        so the last point is the best. It visits at most max_iters points."""
+        got = repair(x0) if cfg.max_iters > 0 else None
         if got is None:
             return None
         x, prods = got
-        best: tuple[Fraction, Vec] | None = None
-        for _ in range(cfg.max_iters):
-            near = closest_vector(Ld, x, node_budget=cfg.node_budget)
-            f = near.dist_sq
-            if best is not None and f <= best[0]:
+        near = closest_vector(Ld, x, node_budget=cfg.node_budget)
+        for _ in range(cfg.max_iters - 1):
+            if not near.dist_sq:
                 break
-            best = (f, x)
-            d = linalg.vsub(x, near.point)
-            if not any(d):
+            cands = push(x, prods, linalg.vsub(x, near.point))
+            top = max(((closest_vector(Ld, c, node_budget=cfg.node_budget), c) for c in cands),
+                      key=lambda t: t[0].dist_sq, default=(near, x))
+            if top[0].dist_sq <= near.dist_sq:
                 break
-            stepped = None
-            for cand in push(x, prods or slabs.products(x), d):
-                fc = closest_vector(Ld, cand, node_budget=cfg.node_budget).dist_sq
-                if fc > f and (stepped is None or fc > stepped[0]):
-                    stepped = (fc, cand)
-            if stepped is None:
-                break
-            x, prods = stepped[1], None
-        return best
+            near, x = top
+            prods = slabs.products(x)
+        return near.dist_sq, x
 
-    starts: list[Vec] = [linalg.zeros(n)]
+    starts: list[Vec] = []
     if m <= 3:
         starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
     if m <= 4:
@@ -472,7 +467,7 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
         starts.append(linalg.vec_mat(t, W))
 
     best: tuple[Fraction, Vec] = (Fraction(0), linalg.zeros(n))
-    for s in starts:
+    for s in dict.fromkeys(starts):
         got = local_max(s)
         if got is None:
             continue

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import latstab
 from latstab import parse_lattice_file, parse_lattice_text
-from latstab.cli import _json, main
+from latstab.cli import _json, _near, main
 
 
 @pytest.fixture
@@ -80,6 +80,12 @@ class TestCommands:
         L = parse_lattice_text("2 2\n2 0\n0 1/2\n")
         latstab.dual(L)  # keeps data on L beside its one field
         assert _json(L) == {"basis": [["2", "0"], ["0", "1/2"]]}
+
+    def test_near_reads_dataclass_fields(self):
+        r = latstab.NearResult(point=(F(1), F(0)), coords=(1, 0), dist_sq=F(1, 4))
+        object.__setattr__(r, "kept", "not a field")  # as a per-object store would
+        assert _json(_near(r)) == {"point": ["1", "0"], "coords": [1, 0], "dist_sq": "1/4",
+                                   "display": {"point": [1.0, 0.0], "dist": 0.5}}
 
     def test_minima_json_and_csv(self, run, mixed_file):
         _, out, _ = run("minima", mixed_file)

@@ -274,23 +274,43 @@ class TestProbe:
         with pytest.raises(CertificationFailed):
             probe_worst_distance(z1, F(1, 4), F(1), FAST)
 
+    def test_searches_each_point_once(self, z2, monkeypatch):
+        # the origin is not ascended, no start twice, and no ascent re-searches
+        # the point it has just stepped to
+        targets = []
+        real = stability.closest_vector
+
+        def counted(L, x, **kw):
+            targets.append(x)
+            return real(L, x, **kw)
+
+        monkeypatch.setattr(stability, "closest_vector", counted)
+        assert probe_worst_distance(z2, F(1, 4), F(1), FAST) == (F(1, 8), (F(-1, 4), F(-1, 4)))
+        assert targets and len(set(targets)) == len(targets)
+        assert (0, 0) not in targets
+
 
 class TestProbeMatchesFractionReference:
     """The integer slab tests and the incremental independence test in the
     probe make exactly the moves of the all-Fraction reference."""
 
     def test_seeded_lattices(self, mixed2):
-        # the last two are bases of the radius-sweep benchmark's kind
+        # the last two are bases of the radius-sweep benchmark's kind; an
+        # ascent capped at one or two points stops where the reference does
         lattices = ([mixed2] + seeded_lattices(4040, 8, n_max=3, entry_bound=3)
                     + [random_lattice(s, 3, 3, min_lambda1_sq=16) for s in (1001, 2003)])
         deltas = [F(0), F(1, 5), F(1, 4), F(3, 10)]
+        cfgs = [FAST, ProbeConfig(seed=0, restarts=8, max_iters=1),
+                ProbeConfig(seed=0, restarts=8, max_iters=2)]
         for i, L in enumerate(lattices):
             top = 4 * max(linalg.norm_sq(r) for r in L.basis)
             norms = sorted({nsq for _, nsq in list_vectors(L, top)})
             for j, r2 in enumerate((norms[0], norms[min(2, len(norms) - 1)])):
                 delta = deltas[(i + j) % len(deltas)]
-                want = reference_probe_worst_distance(L, delta, r2, FAST)
-                assert probe_worst_distance(L, delta, r2, FAST) == want, (L.basis, delta, r2)
+                for cfg in cfgs:
+                    want = reference_probe_worst_distance(L, delta, r2, cfg)
+                    assert probe_worst_distance(L, delta, r2, cfg) == want, \
+                        (L.basis, delta, r2, cfg.max_iters)
 
     def test_rounding_ties(self, z2, skew2):
         # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2
