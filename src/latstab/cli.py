@@ -352,7 +352,8 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true",
                    help="allow x outside span(L); distance includes the offset")
 
-    p = add("covering", "covering radius bounds", _cmd_covering, inputs=("mode",), seeded=True)
+    p = add("covering", "covering radius bounds", _cmd_covering, inputs=("mode",),
+            budgets=("node_budget", "restarts"), seeded=True)
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--restarts", type=_nonnegative, default=16)
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
 from . import linalg
-from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge, SingularMatrix
+from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge
 from .lattice import Lattice, per_lattice
 from .linalg import Mat, Vec, _round_half_even, _scaled, as_mat, as_vec
-from .reduction import DEFAULT_DELTA, _lll_rows
+from .reduction import DEFAULT_DELTA, MINKOWSKI_MAX_RANK, _lll_rows
 from .rng import SplitMix64
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -279,35 +279,39 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...],
     the exact squared covering radius, and the witness vertex. Kept on L, so
     every probe level and covering radius of one run shares one cell."""
     m = L.rank
-    if m > 3:
-        raise RankTooLarge(f"exact covering radius capped at rank 3, got {m}")
+    if m > MINKOWSKI_MAX_RANK:
+        raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
     G = L.gram_matrix
-    mu_ub_sq = _covering_upper_sq(L, node_budget)
-    # v is relevant iff +-v are the only shortest vectors of the coset v + 2L
-    # (Voronoi 1908; Conway-Sloane 1982), as |v/2 - p|^2 = |v - 2p|^2 / 4.
-    # The listing holds every coset minimum: some p lies within mu of c/2,
-    # so |c - 2p| <= 2 mu. It is sorted by norm, one vector of each +-pair.
-    classes: dict[tuple[int, ...], list] = {}  # parity class -> its vectors of least norm
-    for c, nsq in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
-        least = classes.setdefault(tuple(a % 2 for a in c), [])
-        if not least or least[0][1] == nsq:
-            least.append((c, nsq))
-    # the facet |a . xi| <= h of each relevant c, with a = G c and h = c G c^T / 2
-    facets = [(linalg.mat_vec(G, as_vec(c)), nsq / 2)
-              for parity, least in classes.items() if any(parity) and len(least) == 1
-              for c, nsq in least]
+    # Double description (Motzkin et al. 1953) in coordinates xi, x = xi B: a listed c
+    # gives the faces (c, s): s a . xi <= h, a = G c, h = c G c^T / 2, s = +-1. The
+    # successive minima's faces bound a parallelepiped that holds the cell, and every
+    # relevant vector lies within 2 mu (Voronoi 1908), so the listing cuts it down. An
+    # outside p and an inside q span an edge iff no third vertex is tight on every face
+    # both are tight on (Fukuda-Prodon 1996); each vertex keeps its tight faces.
+    mins = successive_minima(L, node_budget=node_budget)
     signs = tuple(product((1, -1), repeat=m))
-    vertices: set[Vec] = set()
-    for subset in combinations(facets, m):
-        rhs = tuple(tuple(s[i] * h for s in signs) for i, (_, h) in enumerate(subset))
-        try:
-            X = linalg.solve_matrix(tuple(a for a, _ in subset), rhs)
-        except SingularMatrix:
-            continue
-        vertices.update(xi for xi in zip(*X) if all(abs(linalg.dot(xi, a)) <= h for a, h in facets))
-    if not vertices:
-        raise CertificationFailed("the Voronoi cell has no vertices")
-    verts = sorted(vertices)
+    rhs = tuple(tuple(s[i] * h / 2 for s in signs) for i, h in enumerate(mins.minima_sq))
+    X = linalg.solve_matrix(linalg.mat_mul(as_mat(mins.achieving_vectors), G), rhs)
+    cell = [(xi, frozenset(zip(mins.achieving_vectors, s)), None)
+            for xi, s in zip(zip(*X), signs)]
+    mu_ub_sq = _covering_upper_sq(L, node_budget)
+    for c, nsq in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
+        a, h = linalg.mat_vec(G, as_vec(c)), nsq / 2
+        cell = [(xi, tight, linalg.dot(xi, a)) for xi, tight, _ in cell]
+        for s in (1, -1):
+            g = [s * d - h for _, _, d in cell]
+            outer = [(p, gp) for p, gp in zip(cell, g) if gp > 0]
+            inner = [(q, gq) for q, gq in zip(cell, g) if gq < 0]
+            new = []
+            for (p, gp), (q, gq) in product(outer, inner):
+                common = p[1] & q[1]
+                if not any(common <= r[1] for r in cell if r is not p and r is not q):
+                    t = gp / (gp - gq)
+                    xi = tuple(x + t * (y - x) for x, y in zip(p[0], q[0]))
+                    new.append((xi, common | {(c, s)}, s * h))
+            cell = [(xi, tight | {(c, s)} if gv == 0 else tight, d)
+                    for (xi, tight, d), gv in zip(cell, g) if gv <= 0] + new
+    verts = sorted(v[0] for v in cell)
     verts_ambient = tuple(linalg.vec_mat(xi, L.basis) for xi in verts)
     # deepest hole: the longest vertex, ties to the greatest ambient vector
     best_sq, witness = max((linalg.dot(xi, linalg.mat_vec(G, xi)), v)
@@ -319,10 +323,10 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
                     node_budget: int = DEFAULT_NODE_BUDGET) -> CoveringRadiusBounds:
     """Covering radius of L within its span, squared.
 
-    mode="exact" (rank <= 3): the exact maximum over Voronoi cell vertices,
-    lower_sq == upper_sq, witness is a deepest hole. mode="heuristic": any
-    rank; lower_sq comes from seeded multistart ascent of the distance
-    function (each evaluation an exact CVP), upper_sq from analytic bounds.
+    mode="exact" (rank <= MINKOWSKI_MAX_RANK, 4): the exact maximum over the
+    Voronoi cell's vertices, lower_sq == upper_sq, witness a deepest hole.
+    mode="heuristic": any rank; lower_sq comes from seeded multistart ascent of
+    the distance function (each an exact CVP), upper_sq from analytic bounds.
     """
     m = L.rank
     if mode == "exact":

@@ -32,11 +32,10 @@ from .enumeration import (
     shortest_vector,
     successive_minima,
 )
-from .errors import (CertificationFailed, DependentRows, DimensionMismatch, NotInSpan,
-                     RankTooLarge, SingularMatrix)
+from .errors import CertificationFailed, DependentRows, DimensionMismatch, NotInSpan, SingularMatrix
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
 from .linalg import Mat, Vec, as_mat, as_vec
-from .reduction import lll, minkowski_reduce
+from .reduction import MINKOWSKI_MAX_RANK, lll, minkowski_reduce
 from .rng import SplitMix64
 
 HALF = Fraction(1, 2)
@@ -244,14 +243,14 @@ def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,
     """Evaluate the minima/covering inequalities tying L to its dual.
 
     Everything is compared in squared form. The covering radius of the dual
-    is exact up to rank 3; beyond that it enters as an interval and a check
-    whose bound falls inside the interval reports "indeterminate" rather
-    than a verdict it cannot certify.
+    is exact up to rank MINKOWSKI_MAX_RANK; above it, it enters as an
+    interval, and a check whose bound falls inside the interval reports
+    "indeterminate" rather than a verdict it cannot certify.
     """
     m = L.rank
     mins = successive_minima(L, node_budget=node_budget).minima_sq
     dmins = successive_minima(dual(L), node_budget=node_budget).minima_sq
-    mode = "exact" if m <= 3 else "heuristic"
+    mode = "exact" if m <= MINKOWSKI_MAX_RANK else "heuristic"
     mu = covering_radius(dual(L), mode, seed=seed, node_budget=node_budget)
     rank_bound = Fraction(m * m)
     fact_bound = Fraction(factorial(m)) ** 2
@@ -451,9 +450,8 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
         return near.dist_sq, x
 
     starts: list[Vec] = []
-    if m <= 3:
+    if m <= MINKOWSKI_MAX_RANK:
         starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
-    if m <= 4:
         masks = range(1, 2**m)
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]
@@ -525,11 +523,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         raise ValueError("epsilon_sq must be positive")
     if max_levels < 1:
         raise ValueError(f"max_levels must be at least 1, got {max_levels}")
-    try:
-        red = minkowski_reduce(L, node_budget=cfg.node_budget)
-    except RankTooLarge:
-        red = lll(L)
     m = L.rank
+    red = minkowski_reduce(L, node_budget=cfg.node_budget) if m <= MINKOWSKI_MAX_RANK else lll(L)
     sum_w = sum((linalg.norm_sq(w) for w in dual(red.lattice).basis), Fraction(0))
     base_radius_sq = max(red.norms_sq)
     base_bound_sq = delta * delta * m * sum_w

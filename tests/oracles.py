@@ -22,7 +22,8 @@ from latstab.enumeration import (NearResult, _Budget, _prep, _se_scan, _to_store
                                  successive_minima)
 from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
-from latstab.reduction import ReducedBasis, _ambient_canonical, _primitive_coords
+from latstab.reduction import (MINKOWSKI_MAX_RANK, ReducedBasis, _ambient_canonical,
+                               _primitive_coords)
 from latstab.rng import SplitMix64
 from latstab.stability import HALF, THIRD, almost_near_linear
 
@@ -482,9 +483,8 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
         return best
 
     starts: list[Vec] = [linalg.zeros(n)]
-    if m <= 3:
+    if m <= MINKOWSKI_MAX_RANK:
         starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
-    if m <= 4:
         masks = range(1, 2**m)
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]

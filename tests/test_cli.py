@@ -235,10 +235,10 @@ class TestExitCodes:
         assert code == 2
 
     def test_exact_covering_above_rank_cap(self, run, tmp_path):
-        path = tmp_path / "z4.txt"
-        rows = "\n".join(" ".join("1" if i == j else "0" for j in range(4))
-                         for i in range(4))
-        path.write_text(f"4 4\n{rows}\n")
+        path = tmp_path / "z5.txt"
+        rows = "\n".join(" ".join("1" if i == j else "0" for j in range(5))
+                         for i in range(5))
+        path.write_text(f"5 5\n{rows}\n")
         code, _, err = run("covering", str(path), "--mode", "exact")
         assert code == 2
         assert "rank" in err

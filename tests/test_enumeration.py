@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,7 +10,6 @@ from latstab import (
     Lattice,
     NotInSpan,
     RankTooLarge,
-    SingularMatrix,
     closest_vector,
     covering_radius,
     dual,
@@ -20,7 +19,8 @@ from latstab import (
     shortest_vector,
     successive_minima,
 )
-from latstab.enumeration import ShortVectorList, _Budget, _prep, _se_scan
+from latstab.enumeration import DEFAULT_NODE_BUDGET, ShortVectorList, _Budget, _prep, _se_scan
+from latstab.latfile import parse_lattice_file
 from latstab.generate import random_lattice
 from conftest import seeded_lattices
 from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors,
@@ -278,12 +278,18 @@ class TestCoveringRadius:
         with pytest.raises(CertificationFailed):
             covering_radius(z2)
 
-    def test_cell_without_vertices_rejected(self, z2, monkeypatch):
-        def singular(M, R):
-            raise SingularMatrix("every facet system")
-        monkeypatch.setattr(enumeration.linalg, "solve_matrix", singular)
+    def test_missed_relevant_vector_rejected(self, monkeypatch):
+        """A listing that stops at lambda_2 misses the relevant vector b1: the
+        cell comes out as the parallelogram of b2 and b2 - b1, and its far
+        corner lies nearer to b1 than to the origin."""
+        L = Lattice(linalg.as_mat(((1, 0), (F(1, 2), F(3, 4)))))
+        lam_sq = successive_minima(L).minima_sq  # kept on L at the full listing
+        assert lam_sq == (F(13, 16), F(13, 16))
+        full = enumeration.list_vectors
+        monkeypatch.setattr(enumeration, "list_vectors",
+                            lambda K, radius_sq, node_budget: full(K, lam_sq[-1], node_budget))
         with pytest.raises(CertificationFailed):
-            covering_radius(z2)
+            covering_radius(L)
 
     def test_cell_cached_per_lattice_and_immutable(self, z2):
         first = enumeration._voronoi_vertex_data(z2, 10_000)
@@ -306,9 +312,9 @@ class TestCoveringRadius:
         (((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 2), F(1, 2))), 7, 24, F(5, 16)),  # bcc
     ])
     def test_classical_cells(self, rows, pairs, count, mu_sq, monkeypatch):
-        """Vertex count and radius, and one solve per rank-many subset of
-        the relevant pairs: counting a class modulo 2L with tied minima, or
-        2L itself, would add facets and solves."""
+        """Vertex count, radius and deepest hole, the facets of exactly the
+        relevant pairs, and one solve: the parallelepiped's 2^m corners come
+        from one elimination, and every later vertex from a cut."""
         solves = []
         solve_matrix = linalg.solve_matrix
         monkeypatch.setattr(linalg, "solve_matrix",
@@ -316,7 +322,16 @@ class TestCoveringRadius:
         L = Lattice(linalg.as_mat(rows))
         verts, got_sq, witness = enumeration._voronoi_vertex_data(L, 10_000)
         assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
-        assert len(solves) == comb(pairs, L.rank)
+        assert witness in verts
+        assert len(solves) == 1
+        # v spans a facet iff the vertices on its plane x . v = |v|^2 / 2 span m - 1 dimensions
+        facets = 0
+        for c, nsq in list_vectors(L, 4 * mu_sq):
+            v = linalg.vec_mat(linalg.as_vec(c), L.basis)
+            on = [x for x in verts if linalg.dot(x, v) == nsq / 2]
+            if on and linalg.rank([linalg.vsub(x, on[0]) for x in on[1:]]) == L.rank - 1:
+                facets += 1
+        assert facets == pairs
 
     def test_cell_matches_search_reference(self):
         """Coset-minimum relevance and facet-subset solves give the cell the
@@ -327,8 +342,36 @@ class TestCoveringRadius:
                 got = enumeration._voronoi_vertex_data(K, 100_000)
                 assert got == reference_voronoi_vertex_data(K)
 
-    def test_exact_capped_at_rank_three(self):
-        rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))
+    @pytest.mark.parametrize("name, rows, count, mu_sq", [
+        ("Z4", [[int(i == j) for j in range(4)] for i in range(4)], 16, F(1)),
+        ("D4", [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]], 24, F(1)),
+        ("A4", [[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1]],
+         30, F(6, 5)),
+        ("diag(1,2,3,5)", [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]],
+         16, F(39, 4)),
+        ("bidiagonal", [[2, 0, 0, 0], [1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2]],
+         54, F(765, 256)),
+    ])
+    def test_rank_four_cells_match_search_reference(self, name, rows, count, mu_sq):
+        L = Lattice(linalg.as_mat(rows))
+        got = enumeration._voronoi_vertex_data(L, 100_000)
+        assert (len(got[0]), got[1]) == (count, mu_sq)
+        assert got == reference_voronoi_vertex_data(Lattice(L.basis))
+
+    def test_rank_four_golden_cells(self):
+        """tests/golden/r4.txt: a generic cell on each side, up to the
+        (m + 1)! = 120 vertices a rank-4 cell can have. Every vertex lies
+        in the cell: the origin is a nearest lattice point to it."""
+        L = parse_lattice_file(Path(__file__).parent / "golden" / "r4.txt")
+        for K, count, mu_sq in ((L, 104, F(10559, 441)),
+                                (dual(L), 120, F(66772529, 1152216576))):
+            verts, got_sq, witness = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
+            assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
+            assert all(closest_vector(K, x).dist_sq == linalg.norm_sq(x) for x in verts)
+            assert covering_radius(K).lower_sq == mu_sq
+
+    def test_exact_capped_above_rank_four(self):
+        rows = tuple(tuple(F(1 if i == j else 0) for j in range(5)) for i in range(5))
         with pytest.raises(RankTooLarge):
             covering_radius(Lattice(rows))
 

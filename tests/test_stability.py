@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -28,6 +29,7 @@ from latstab import (
     stability_radius,
     transference_check,
 )
+from latstab.latfile import parse_lattice_file
 from latstab.lattice import dist_to_integers
 from latstab.linalg import _round_half_even
 from latstab.stability import _slab_step, _Slabs
@@ -35,6 +37,7 @@ from conftest import seeded_lattices
 from oracles import reference_probe_worst_distance
 
 FAST = ProbeConfig(seed=0, restarts=8)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCheckHypothesis:
@@ -189,8 +192,8 @@ class TestTransference:
         assert rep.all_satisfied
         assert rep.mu_dual.lower_sq == F(29, 144)
 
-    def test_rank_four_uses_interval(self):
-        rows = tuple(tuple(F(2 if i == j else 0) for j in range(4)) for i in range(4))
+    def test_rank_five_uses_interval(self):
+        rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         rep = transference_check(Lattice(rows))
         assert not rep.mu_dual.exact
         assert not rep.any_violation
@@ -273,6 +276,15 @@ class TestProbe:
                             lambda u, v: tuple(a + F(1, 3) for a in real(u, v)))
         with pytest.raises(CertificationFailed):
             probe_worst_distance(z1, F(1, 4), F(1), FAST)
+
+    def test_rank_four_starts_from_the_cell(self):
+        """With the dual cell's vertices among the starts, the rank-4 probe
+        at r^2 = 44 finds f^2 > 1/100, so stability-radius at eps^2 = 1/100
+        cannot stop at 44."""
+        L = parse_lattice_file(GOLDEN / "r4.txt")
+        f, w = probe_worst_distance(L, F(1, 4), 44, ProbeConfig(restarts=0))
+        assert f == F(57599, 5324928) > F(1, 100)
+        assert near_dual_vector(L, w).dist_sq == f
 
     def test_searches_each_point_once(self, z2, monkeypatch):
         # the origin is not ascended, no start twice, and no ascent re-searches
@@ -415,6 +427,34 @@ class TestStabilityRadius:
         assert sorted(map(id, preps)) == sorted((id(L.basis), id(Ld.basis)))
         assert sum(R is L.basis for R in solves) == 1
         assert len(cells) == 1 and cells[0] is Ld
+
+    def test_backward_pass_lifts_a_level(self, monkeypatch):
+        """Here the probe at r^2 = 34 finds less than the one at 36 does, and
+        the witness of 36 is feasible at 34 too, so the pass carries it down."""
+        raw = {}
+        probe = stability.probe_worst_distance
+
+        def recorded(L, delta, r2, *args, **kwargs):
+            raw[r2] = probe(L, delta, r2, *args, **kwargs)
+            return raw[r2]
+        monkeypatch.setattr(stability, "probe_worst_distance", recorded)
+        L = random_lattice(18, 2, 2, entry_bound=4, min_lambda1_sq=4)
+        got = stability_radius(L, F(1, 4), F(1, 100), ProbeConfig(restarts=0), max_levels=8)
+        i = got.radius_grid.index(34)
+        assert got.radius_grid[i + 1] == 36
+        assert raw[34][0] == F(37, 11664)
+        assert got.f_hat_sq[i] == raw[36][0] == F(1, 144)
+        assert got.witnesses[i] == got.witnesses[i + 1] == raw[36][1]
+
+    def test_rank_five_falls_back_to_lll(self):
+        """Above the Minkowski cap the sweep reduces by LLL, and the probe
+        starts from the single and the all-ones half-vectors, not the cell."""
+        rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
+        got = stability_radius(Lattice(rows), F(1, 4), F(1, 4), ProbeConfig(restarts=0),
+                               max_levels=2)
+        assert got.reduction_kind == "lll"
+        assert got.radius_grid == (4, 16)
+        assert got.f_hat_sq == (F(5, 64), F(5, 1024))
 
     def test_levels_dropped(self, mixed2):
         # the norms 4a^2 + b^2/4 of mixed2 up to its sufficient radius^2 256
