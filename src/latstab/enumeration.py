@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -96,6 +97,10 @@ class _Prep:
     # nearest-plane point, which is the scan's first leaf (Babai 1986)
     plane_sq: Fraction
 
+    @cached_property
+    def inverse(self) -> tuple[tuple[int, ...], ...]:  # working coords = stored coords * inverse
+        return tuple(tuple(int(a) for a in r) for r in linalg.invert(as_mat(self.transform)))
+
 
 @per_lattice
 def _prep(L: Lattice) -> _Prep:
@@ -109,18 +114,19 @@ def _prep(L: Lattice) -> _Prep:
     return _Prep(rows=rows, transform=U, e=e, M=M, S=S, w=w, plane_sq=sum(gamma) / 4)
 
 
-def _se_scan(prep: _Prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
+def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """DFS over integer combinations c of the working rows, pruning exactly on
     sum_i (c_i - center_i)^2 gamma_i > bound[0]. The bound may shrink inside
     on_leaf; ties at the bound are still visited.
 
-    With t = T / q, center_i = Cn_i / (q e_i) for the integer
+    The target comes scaled, t = (T, q) for the working coordinates T / q
+    with q > 0: center_i = Cn_i / (q e_i) for the integer
     Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term times
     S q^2 is the integer (c_i q e_i - Cn_i)^2 w_i: an integer sum exceeds
     bound[0] S q^2 iff it exceeds its floor."""
     e, M, w = prep.e, prep.M, prep.w
     m = len(e)
-    T, q = _scaled(t)
+    T, q = t
     scale = prep.S * q * q
     lim = [bound[0].numerator * scale // bound[0].denominator]
     c = [0] * m
@@ -190,8 +196,9 @@ def list_vectors(L: Lattice, radius_sq, node_budget: int = DEFAULT_NODE_BUDGET) 
     nonzero coordinate is positive.
     """
     radius_sq = linalg.as_rational(radius_sq)
+    if radius_sq < 0:
+        raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     prep = _prep(L)
-    t = linalg.zeros(L.rank)
     seen: dict[tuple[int, ...], Fraction] = {}
 
     def on_leaf(c_work: tuple[int, ...], nsq: Fraction):
@@ -199,7 +206,8 @@ def list_vectors(L: Lattice, radius_sq, node_budget: int = DEFAULT_NODE_BUDGET) 
             return
         seen[_canonical_sign(_to_stored(prep, c_work))] = nsq
 
-    _se_scan(prep, t, [radius_sq], on_leaf, _Budget(node_budget, "list_vectors", L.rank, radius_sq))
+    _se_scan(prep, ((0,) * L.rank, 1), [radius_sq], on_leaf,
+             _Budget(node_budget, "list_vectors", L.rank, radius_sq))
     ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
     return ShortVectorList(radius_sq=radius_sq, vectors=tuple(ordered))
 
@@ -250,21 +258,25 @@ def closest_vector(L: Lattice, x, project: bool = False,
         t = linalg.rowspace_coefficients(prep.rows, x_in)
         if t is None:
             raise CertificationFailed("the projection of the target is outside span(L)")
-    bound = [prep.plane_sq]
-    best: list = [prep.plane_sq, []]
+    dist_sq, coords = _closest(L, _scaled(t), node_budget)
+    point = linalg.vec_mat(as_vec(coords), L.basis)
+    return NearResult(point=point, coords=coords, dist_sq=dist_sq + extra)
+
+
+def _closest(L: Lattice, t: tuple, node_budget: int) -> tuple[Fraction, tuple[int, ...]]:
+    """closest_vector's search for the scaled working coordinates t = (T, q):
+    the least squared distance, and the least stored coordinates reaching it."""
+    prep = _prep(L)
+    best: list = [prep.plane_sq, []]  # best[0] is also the scan's shrinking bound
 
     def on_leaf(c_work: tuple[int, ...], dsq: Fraction):
         if dsq < best[0]:
-            best[0] = dsq
-            best[1] = [c_work]
-            bound[0] = dsq
+            best[:] = dsq, [c_work]
         elif dsq == best[0]:
             best[1].append(c_work)
 
-    _se_scan(prep, t, bound, on_leaf, _Budget(node_budget, "closest_vector", L.rank, prep.plane_sq))
-    coords = min(_to_stored(prep, c) for c in best[1])
-    point = linalg.vec_mat(as_vec(coords), L.basis)
-    return NearResult(point=point, coords=coords, dist_sq=best[0] + extra)
+    _se_scan(prep, t, best, on_leaf, _Budget(node_budget, "closest_vector", L.rank, prep.plane_sq))
+    return best[0], min(_to_stored(prep, c) for c in best[1])
 
 
 def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
@@ -274,10 +286,11 @@ def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
 
 
 @per_lattice
-def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...], Fraction, Vec]:
-    """Vertices of the Voronoi cell of the origin (ambient coordinates),
-    the exact squared covering radius, and the witness vertex. Kept on L, so
-    every probe level and covering radius of one run shares one cell."""
+def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
+    """Vertices of the Voronoi cell of the origin (ambient coordinates), the
+    exact squared covering radius, the witness vertex, and the vertices again
+    as coordinates X / q in L's basis, pairs (X, q) in lowest terms. Kept on
+    L, so every probe level and covering radius of one run shares one cell."""
     m = L.rank
     if m > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
@@ -316,7 +329,7 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple[tuple[Vec, ...],
     # deepest hole: the longest vertex, ties to the greatest ambient vector
     best_sq, witness = max((linalg.dot(xi, linalg.mat_vec(G, xi)), v)
                            for xi, v in zip(verts, verts_ambient))
-    return verts_ambient, best_sq, witness
+    return verts_ambient, best_sq, witness, tuple(map(_scaled, verts))
 
 
 def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: int = 16,
@@ -330,7 +343,7 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
     """
     m = L.rank
     if mode == "exact":
-        _, mu_sq, witness = _voronoi_vertex_data(L, node_budget)
+        mu_sq, witness = _voronoi_vertex_data(L, node_budget)[1:3]
         check = closest_vector(L, witness, node_budget=node_budget)
         if check.dist_sq != mu_sq:
             raise CertificationFailed(f"deepest-hole witness lies at distance^2 {check.dist_sq}, "

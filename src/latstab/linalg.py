@@ -12,7 +12,7 @@ results become ``Fraction``s again at the interface.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DependentRows, DimensionMismatch, SingularMatrix
@@ -292,10 +292,16 @@ def _round_half_even(N: int, Q: int) -> int:
     return k
 
 
-def _scaled(x: Vec) -> tuple[list[int], int]:
-    """(xz, q) with x = xz / q, q the lcm of the denominators of x."""
+def _scaled(x: Vec) -> tuple[tuple[int, ...], int]:
+    """(X, q) with x = X / q in lowest terms: q is the lcm of the denominators of x."""
     q = lcm(*(a.denominator for a in x))
-    return [a.numerator * (q // a.denominator) for a in x], q
+    return tuple(a.numerator * (q // a.denominator) for a in x), q
+
+
+def _lowest(Y: Sequence[int], p: int) -> tuple[tuple[int, ...], int]:
+    """The integer vector Y over p > 0 as the pair (X, q) in lowest terms."""
+    g = gcd(*Y, p)
+    return tuple(a // g for a in Y), p // g
 
 
 def floor_sqrt(x: Fraction) -> int:

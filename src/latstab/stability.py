@@ -6,10 +6,10 @@ This module provides the exact hypothesis checker, the two constructions
 that produce nearby dual vectors (coordinate rounding and exact CVP), the
 linear-system analogue, transference inequalities between minima of a
 lattice and its dual, the tightness construction at threshold 1/3, and a
-seeded heuristic probe that estimates the worst-case distance as a function
-of the constraint radius. Probe outputs are lower bounds on the true worst
-case: every reported witness is exactly feasible, while analytic upper
-bounds accompany the reports.
+seeded probe that lower-bounds the worst-case distance per constraint
+radius. The probe works in the dual coordinates xi = X / q of x = xi W,
+where u = c B gives u.x = c.xi, so its ascent is integer arithmetic; each
+witness it reports is exactly feasible, and analytic upper bounds come with it.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, sqrt
-from operator import mul
+from math import factorial, sqrt
+from operator import add, mul
 
 from . import linalg
 from .enumeration import (
     DEFAULT_NODE_BUDGET,
     CoveringRadiusBounds,
     NearResult,
+    _closest,
+    _prep,
     _voronoi_vertex_data,
     closest_vector,
     covering_radius,
@@ -32,9 +34,10 @@ from .enumeration import (
     shortest_vector,
     successive_minima,
 )
-from .errors import CertificationFailed, DependentRows, DimensionMismatch, NotInSpan, SingularMatrix
+from .errors import (BudgetExceeded, CertificationFailed, DependentRows, DimensionMismatch,
+                     NotInSpan, SingularMatrix)
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
-from .linalg import Mat, Vec, as_mat, as_vec
+from .linalg import Mat, Vec, _lowest, as_mat, as_vec
 from .reduction import MINKOWSKI_MAX_RANK, lll, minkowski_reduce
 from .rng import SplitMix64
 
@@ -304,179 +307,177 @@ def sharpness_witness(L: Lattice, verify_radius_sq=Fraction(100),
     return SharpnessWitness(x=x, report=report, near=near)
 
 
-def _slab_step(R: list[list[int]], T: list[int], D: int, dd: int, x: Vec) -> Vec:
-    """almost_near_linear(R / D, T / dd, x) for independent integer rows R,
-    in integers: with x = xz / q, H = R R^T and rho = R xz dd - T D q,
-    y = (xz dd det H - R^T sigma) / (q dd det H) for sigma = det H * H^-1 rho,
-    the last column of [H | rho] after the shared fraction-free elimination."""
-    xz, q = linalg._scaled(x)
-    M = [[sum(map(mul, a, b)) for b in R] + [sum(map(mul, a, xz)) * dd - t * D * q]
-         for a, t in zip(R, T)]
-    pivots, det = linalg._eliminate(M, len(R))
-    if len(pivots) < len(R):
+def _slab_step(C: list, T: list[int], dd: int, Gz, X, q: int) -> tuple[tuple[int, ...], int]:
+    """almost_near_linear in dual coordinates, in integers: the point nearest
+    to xi = X / q in the dual metric with c.y = t / dd for the independent
+    rows c of C. With R' = C Gz (Gz: L's Gram matrix times any positive
+    integer), H = C R'^T and rho = C X dd - T q, it is y = (X dd det H -
+    R'^T sigma) / (q dd det H) for sigma = det H * H^-1 rho, the last column
+    of [H | rho] after the shared fraction-free elimination."""
+    Rp = [[sum(map(mul, c, g)) for g in Gz] for c in C]
+    M = [[sum(map(mul, c, r)) for r in Rp] + [sum(map(mul, c, X)) * dd - t * q]
+         for c, t in zip(C, T)]
+    pivots, det = linalg._eliminate(M, len(C))
+    if len(pivots) < len(C):
         raise DependentRows("the system matrix must have independent rows")
     sigma = [row[-1] for row in M]
-    ynum = [a * dd * det - sum(map(mul, sigma, col)) for a, col in zip(xz, zip(*R))]
-    if any(sum(map(mul, r, ynum)) != t * D * q * det for r, t in zip(R, T)):
+    Y = [a * dd * det - sum(map(mul, sigma, col)) for a, col in zip(X, zip(*Rp))]
+    if any(sum(map(mul, c, Y)) != t * q * det for c, t in zip(C, T)):
         raise CertificationFailed("the corrected point does not solve A y = b")
-    return tuple(Fraction(a, q * dd * det) for a in ynum)
+    return _lowest(Y, q * dd * det)
 
 
-class _Slabs:
-    """A probe's constraint vectors scaled once to integer rows over one
-    common denominator D, so that u.x = N_u / Q with integers N_u and
-    Q = D * lcm(denominators of x): slab tests compare integers."""
-
-    def __init__(self, U: list[Vec], delta: Fraction):
-        self.D = lcm(*(a.denominator for u in U for a in u))
-        self.rows = [[a.numerator * (self.D // a.denominator) for a in u] for u in U]
-        self.dn, self.dd = delta.numerator, delta.denominator
-
-    def products(self, x: Vec) -> tuple[list[int], int]:
-        xz, q = linalg._scaled(x)
-        return [sum(map(mul, u, xz)) for u in self.rows], self.D * q
-
-    def violated(self, Ns: list[int], Q: int) -> list[int]:
-        """Indices of the constraints whose N/Q lies farther than delta
-        from every integer: (N/Q + delta) mod 1 > 2 delta, as delta < 1/2."""
-        dd, shift, period, bound = self.dd, self.dn * Q, self.dd * Q, 2 * self.dn * Q
-        return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
+def _violated(Ns: list[int], q: int, dn: int, dd: int) -> list[int]:
+    """Indices of the N/q farther than delta = dn/dd from every integer:
+    (N/q + delta) mod 1 > 2 delta, as delta < 1/2."""
+    shift, period, bound = dn * q, dd * q, 2 * dn * q
+    return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
 
 
 def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
                          *, extra_starts: tuple[Vec, ...] = (),
-                         _constraints: list[Vec] | None = None) -> tuple[Fraction, Vec]:
+                         _constraints: tuple | None = None) -> tuple[Fraction, Vec]:
     """Heuristic maximum of dist(x, dual)^2 over the feasible slab region
     {x in span(L) : every u in L with ||u||^2 <= radius_sq has |u.x|
     within delta of an integer}.
 
-    Multistart local ascent: each start is branched to the nearest integer
-    per constraint, repaired onto the slab faces by exact least squares,
-    then pushed away from its nearest dual point until a slab face blocks.
-    The returned witness is exactly feasible, so the value is a certified
-    lower bound for the true worst case. The answer starts at (0, origin),
-    feasible and on the dual, so the probe never fails; ties go to the least
-    witness, so the order of the starts does not matter.
+    Multistart local ascent in the coordinates xi of the dual basis W,
+    x = xi W, where a constraint u = c B gives u.x = c.xi: every point is a
+    pair (X, q) of integers in lowest terms with xi = X / q. Each start is
+    branched to the nearest integer per constraint, repaired onto the slab
+    faces by least squares in the metric of the dual (the ambient nearest
+    point, as it lies in span(L)), then pushed away from its nearest dual
+    point until a slab face blocks, all in integers. The returned witness is
+    exactly feasible, so the value is a certified lower bound for the true
+    worst case. The answer starts at (0, origin), feasible and on the dual,
+    so the probe never fails; ties go to the least ambient witness, so the
+    order of the starts does not matter. An extra start x enters as
+    xi_i = b_i.x, its projection onto span(L).
     """
     cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
     radius_sq = linalg.as_rational(radius_sq)
     if not 0 <= delta < THIRD:
         raise ValueError(f"delta must be in [0, 1/3), got {delta}")
-    Ld = dual(L)
-    W = Ld.basis
-    m, n = L.rank, L.ambient_dim
-    if _constraints is None:
-        reps = list_vectors(L, radius_sq, node_budget=cfg.node_budget).vectors
-        U = [linalg.vec_mat(as_vec(c), L.basis) for c, _ in reps]
+    if radius_sq < 0:
+        raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
+    Ld, m = dual(L), L.rank
+    if _constraints is None:  # else the coordinate rows c and the ambient u = c B
+        C = [c for c, _ in list_vectors(L, radius_sq, node_budget=cfg.node_budget).vectors]
+        U = [linalg.vec_mat(as_vec(c), L.basis) for c in C]
     else:
-        U = _constraints
+        C, U = _constraints
+    dn, dd = delta.numerator, delta.denominator
+    Gz = linalg.clear_denominators(L.gram_matrix)[0]
+    cols = list(zip(*C)) or [()] * m
+    to_working = tuple(zip(*_prep(Ld).inverse))
 
-    slabs = _Slabs(U, delta)
-    dn, dd = slabs.dn, slabs.dd
+    def products(X) -> list[int]:
+        """c.X for every constraint row c, one coordinate column at a time."""
+        Ns = map(X[0].__mul__, cols[0])
+        for a, col in zip(X[1:], cols[1:]):
+            Ns = map(add, Ns, map(a.__mul__, col))
+        return list(Ns)
 
-    def repair(x: Vec) -> tuple[Vec, tuple[list[int], int]] | None:
-        """A feasible point near x with its slab products, or None."""
+    def search(p) -> tuple[Fraction, tuple[int, ...]]:
+        return _closest(Ld, ([sum(map(mul, p[0], c)) for c in to_working], p[1]), cfg.node_budget)
+
+    def repair(X, q: int):
+        """A feasible point near X / q with its slab products, or None."""
         for step in range(5):
-            Ns, Q = slabs.products(x)
-            bad = slabs.violated(Ns, Q)
+            Ns = products(X)
+            bad = _violated(Ns, q, dn, dd)
             if not bad:
-                return x, (Ns, Q)
+                return (X, q), Ns
             if step == 4:
                 return None
-            rows: list[list[int]] = []
-            targets: list[int] = []  # u_i.y = targets[i] / dd on the nearest slab face
+            rows: list = []
+            targets: list[int] = []  # c_i.y = targets[i] / dd on the nearest slab face
             echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
             for i in bad:
                 if len(rows) == m:
                     break
-                v = slabs.rows[i]
+                v = C[i]
                 for j, e in echelon:
                     if v[j]:
                         v = [e[j] * a - v[j] * b for a, b in zip(v, e)]
                 pivot = next((j for j, a in enumerate(v) if a), None)
                 if pivot is not None:
                     echelon.append((pivot, v))
-                    rows.append(slabs.rows[i])
-                    k = linalg._round_half_even(Ns[i], Q)
-                    targets.append(k * dd - dn if Ns[i] < k * Q else k * dd + dn)
-            x = _slab_step(rows, targets, slabs.D, dd, x)
+                    rows.append(C[i])
+                    k = linalg._round_half_even(Ns[i], q)
+                    targets.append(k * dd - dn if Ns[i] < k * q else k * dd + dn)
+            X, q = _slab_step(rows, targets, dd, Gz, X, q)
 
-    def push(x: Vec, prods: tuple[list[int], int], d: Vec) -> list[Vec]:
-        """Candidate points farther from the current nearest dual vector,
-        staying inside the current branch slabs; prods = slabs.products(x)."""
-        # with u.x = N/Q and u.d = A/Qd, the step to the face k +- delta is
-        # ((k dd +- dn) Q - N dd) / A times the common positive Qd / (dd Q)
-        Ns, Q = prods
-        As, Qd = slabs.products(d)
+    def push(p, Ns: list[int], coords: tuple[int, ...]) -> list:
+        """Candidate points farther from the nearest dual point coords,
+        staying inside the current branch slabs; Ns = products(X)."""
+        # with c.xi = N/q and c.d = A/q for d = xi - coords, the step to the
+        # face k +- delta is ((k dd +- dn) q - N dd) / (A dd)
+        X, q = p
+        d = [a - k * q for a, k in zip(X, coords)]
         num = den = 0
-        for N, A in zip(Ns, As):
+        for N, A in zip(Ns, products(d)):
             if A == 0:
                 continue
-            k = linalg._round_half_even(N, Q)
+            k = linalg._round_half_even(N, q)
             if A > 0:
-                a, b = (k * dd + dn) * Q - N * dd, A
+                a, b = (k * dd + dn) * q - N * dd, A
             else:
-                a, b = N * dd - (k * dd - dn) * Q, -A
+                a, b = N * dd - (k * dd - dn) * q, -A
             if not den or a * den < num * b:
                 num, den = a, b
         if not den:
-            return [linalg.vadd(x, linalg.vscale(Fraction(2) ** j, d)) for j in range(6)]
+            return [_lowest([a + (b << j) for a, b in zip(X, d)], q) for j in range(6)]
         if num <= 0:
             return []
-        limit = Fraction(num * Qd, den * dd * Q)
-        return [linalg.vadd(x, linalg.vscale(limit, d)),
-                linalg.vadd(x, linalg.vscale(limit / 2, d))]
+        s = den * dd
+        return [_lowest([a * s * h + num * b for a, b in zip(X, d)], q * s * h) for h in (1, 2)]
 
-    def local_max(x0: Vec) -> tuple[Fraction, Vec] | None:
-        """Ascend from the repaired x0 to the farthest push candidate while it
+    def local_max(p0):
+        """Ascend from the repaired p0 to the farthest push candidate while it
         is farther than the current point: the distance rises at every step,
         so the last point is the best. It visits at most max_iters points."""
-        got = repair(x0) if cfg.max_iters > 0 else None
+        got = repair(*p0) if cfg.max_iters > 0 else None
         if got is None:
             return None
-        x, prods = got
-        near = closest_vector(Ld, x, node_budget=cfg.node_budget)
+        p, Ns = got
+        near = search(p)
         for _ in range(cfg.max_iters - 1):
-            if not near.dist_sq:
+            if not near[0]:
                 break
-            cands = push(x, prods, linalg.vsub(x, near.point))
-            top = max(((closest_vector(Ld, c, node_budget=cfg.node_budget), c) for c in cands),
-                      key=lambda t: t[0].dist_sq, default=(near, x))
-            if top[0].dist_sq <= near.dist_sq:
+            top = max(((search(c), c) for c in push(p, Ns, near[1])),
+                      key=lambda t: t[0][0], default=(near, p))
+            if top[0][0] <= near[0]:
                 break
-            near, x = top
-            prods = slabs.products(x)
-        return near.dist_sq, x
+            near, p = top
+            Ns = products(p[0])
+        return near[0], p
 
-    starts: list[Vec] = []
+    def ambient(p) -> Vec:
+        return linalg.vec_mat(tuple(Fraction(a, p[1]) for a in p[0]), Ld.basis)
+
+    starts: list = []
     if m <= MINKOWSKI_MAX_RANK:
-        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
+        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[3]
         masks = range(1, 2**m)
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]
-    for mask in masks:
-        sel = as_vec([HALF if mask >> i & 1 else 0 for i in range(m)])
-        starts.append(linalg.vec_mat(sel, W))
-    starts += [as_vec(s) for s in extra_starts]
+    starts += [(tuple(mask >> i & 1 for i in range(m)), 2) for mask in masks]
+    starts += [linalg._scaled([linalg.dot(b, as_vec(x)) for b in L.basis]) for x in extra_starts]
     rng = SplitMix64(cfg.seed)
-    for _ in range(cfg.restarts):
-        t = as_vec([rng.fraction() for _ in range(m)])
-        starts.append(linalg.vec_mat(t, W))
+    starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(cfg.restarts)]
 
-    best: tuple[Fraction, Vec] = (Fraction(0), linalg.zeros(n))
-    for s in dict.fromkeys(starts):
-        got = local_max(s)
-        if got is None:
-            continue
-        f, w = got
-        if f > best[0] or (f == best[0] and w < best[1]):
-            best = (f, w)
+    best_f, best_p = Fraction(0), ((0,) * m, 1)
+    for got in filter(None, map(local_max, dict.fromkeys(starts))):
+        if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
+            best_f, best_p = got
+    w = ambient(best_p)
     # certified independently of the integer slab tests, in plain Fractions
-    if not all(dist_to_integers(linalg.dot(u, best[1])) <= delta for u in U):
+    if not all(dist_to_integers(linalg.dot(u, w)) <= delta for u in U):
         raise CertificationFailed(f"the probe witness violates the hypothesis at "
                                   f"radius^2 {radius_sq}")
-    return best
+    return best_f, w
 
 
 @dataclass(frozen=True)
@@ -533,7 +534,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     suff_bound_sq = base_bound_sq / (K * K)
 
     all_vecs = list_vectors(L, suff_radius_sq, node_budget=cfg.node_budget)
-    uvecs = [linalg.vec_mat(as_vec(c), L.basis) for c, _ in all_vecs.vectors]
+    coords = [c for c, _ in all_vecs.vectors]
+    uvecs = [linalg.vec_mat(as_vec(c), L.basis) for c in coords]
     norms = [nsq for _, nsq in all_vecs.vectors]
     levels = sorted(set(norms))
     levels_dropped = max(0, len(levels) - max_levels)
@@ -543,9 +545,13 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     f_hats: list[Fraction] = []
     witnesses: list[Vec] = []
     for r2 in levels:
-        f, w = probe_worst_distance(L, delta, r2, cfg,
-                                    extra_starts=tuple(witnesses),
-                                    _constraints=uvecs[: bisect_right(norms, r2)])
+        k = bisect_right(norms, r2)
+        try:
+            f, w = probe_worst_distance(L, delta, r2, cfg, extra_starts=tuple(witnesses),
+                                        _constraints=(coords[:k], uvecs[:k]))
+        except BudgetExceeded as err:
+            err.args = (f"{err}, at probe level radius^2 {r2}",)
+            raise
         f_hats.append(f)
         witnesses.append(w)
     for i in range(len(levels) - 2, -1, -1):

@@ -178,11 +178,14 @@ def reference_primitive_coords(C) -> bool:
     return g == 1
 
 
-def reference_se_scan(prep, t: Vec, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
+def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """enumeration._se_scan as first written, in Fractions: the same nodes,
     ticks, visit order and ties, with every center and every partial sum a
-    Fraction built per node. gamma and mu come from a fresh Gram-Schmidt of
-    the working rows, independent of LLL's incremental updates."""
+    Fraction built per node. It takes the target scaled as _se_scan does,
+    (T, q), and works on t = T / q. gamma and mu come from a fresh
+    Gram-Schmidt of the working rows, independent of LLL's incremental updates."""
+    T, q = scaled
+    t = [Fraction(a, q) for a in T]
     bstar, mu = linalg.gram_schmidt(prep.rows)
     gamma = [linalg.norm_sq(b) for b in bstar]
     m = len(gamma)
@@ -253,7 +256,8 @@ def reference_closest_vector(L: Lattice, x) -> NearResult:
         elif dsq == best[0]:
             best[1].append(c)
 
-    reference_se_scan(prep, t, bound, on_leaf, _Budget(10_000_000, "closest_vector", L.rank, start))
+    reference_se_scan(prep, linalg._scaled(t), bound, on_leaf,
+                      _Budget(10_000_000, "closest_vector", L.rank, start))
     coords = min(_to_stored(prep, c) for c in best[1])
     return NearResult(point=linalg.vec_mat(as_vec(coords), L.basis), coords=coords, dist_sq=best[0])
 
@@ -289,7 +293,8 @@ def _points_within(L: Lattice, x: Vec, radius_sq: Fraction, node_budget: int):
     prep = _prep(L)
     t = linalg.rowspace_coefficients(prep.rows, x)
     out = []
-    _se_scan(prep, t, [radius_sq], lambda c, dsq: out.append((_to_stored(prep, c), dsq)),
+    _se_scan(prep, linalg._scaled(t), [radius_sq],
+             lambda c, dsq: out.append((_to_stored(prep, c), dsq)),
              _Budget(node_budget, "_points_within", L.rank, radius_sq))
     return out
 
@@ -309,8 +314,9 @@ def _is_voronoi_relevant(L: Lattice, coords, node_budget: int) -> bool:
 def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
     """The Voronoi cell as first built: one nearest-point search per listed
     vector to decide its relevance, then one solve per m-subset of the 2R
-    signed half-spaces. Returns (ambient vertices, mu^2, deepest hole) with
-    the same order and tie-break as enumeration._voronoi_vertex_data."""
+    signed half-spaces. Returns (ambient vertices, mu^2, deepest hole, the
+    vertices' coordinates as pairs (X, q) in lowest terms) with the same
+    order and tie-break as enumeration._voronoi_vertex_data."""
     m = L.rank
     G = L.gram_matrix
     mins = successive_minima(L, node_budget=node_budget)
@@ -337,7 +343,7 @@ def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
         ambient.append(linalg.vec_mat(xi, L.basis))
         if vsq > best_sq or (vsq == best_sq and (not witness or ambient[-1] > witness)):
             best_sq, witness = vsq, ambient[-1]
-    return tuple(ambient), best_sq, witness
+    return tuple(ambient), best_sq, witness, tuple(linalg._scaled(xi) for xi in sorted(vertices))
 
 
 def reference_lll_rows(rows, delta):

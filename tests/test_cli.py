@@ -263,6 +263,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "entries" in err
 
+    @pytest.mark.parametrize("argv, radius_sq", [
+        (("probe", "--delta", "1/4", "--r2", "-1"), "-1"),
+        (("svp", "--r2", "-3"), "-3"),
+        (("hypothesis", "-x", "0 0", "--delta", "1/4", "--r2", "-2"), "-2"),
+    ])
+    def test_negative_radius(self, run, mixed_file, argv, radius_sq):
+        code, out, err = run(argv[0], mixed_file, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: radius_sq must be nonnegative, got {radius_sq}\n"
+
     def test_linear_shape_mismatch(self, run):
         code, out, err = run("linear-almost-near", "--matrix", "1 1", "-b", "1", "-x", "1 2 3")
         assert (code, out) == (2, "")

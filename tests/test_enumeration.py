@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,11 @@ class TestListVectors:
         for L in seeded_lattices(101, 12, n_max=3, entry_bound=3):
             radius = 2 * max(linalg.norm_sq(r) for r in L.basis)
             assert list_vectors(L, radius).vectors == tuple(box_vectors(L, radius))
+
+    def test_negative_radius_rejected(self, z2):
+        assert len(list_vectors(z2, 0)) == 0
+        with pytest.raises(ValueError, match="radius_sq must be nonnegative, got -1/4"):
+            list_vectors(z2, F(-1, 4))
 
 
 class TestShortestAndMinima:
@@ -131,7 +137,7 @@ def _scan_trace(scan, prep, t, radius_sq, cap, shrink=False):
 
     budget = _Budget(cap, "scan", len(t), radius_sq)
     try:
-        scan(prep, t, bound, on_leaf, budget)
+        scan(prep, linalg._scaled(t), bound, on_leaf, budget)
     except BudgetExceeded:
         return leaves, budget.left, True
     return leaves, budget.left, False
@@ -198,6 +204,18 @@ class TestIntegerScan:
             want = _scan_trace(reference_se_scan, prep, t, radius_sq, cap)
             assert want[2] == (cap < nodes)
             assert _scan_trace(_se_scan, prep, t, radius_sq, cap) == want
+
+    @given(_rational_bases(), st.data())
+    def test_coordinate_search_matches_closest_vector(self, L, data):
+        """The search the probe runs: stored coordinates X / q, mapped to
+        working ones by the inverse transform, stay in lowest terms and give
+        closest_vector's distance and coordinates, ties included."""
+        xi = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
+        want = closest_vector(L, linalg.vec_mat(xi, L.basis))
+        X, q = linalg._scaled(xi)
+        T = tuple(sum(a * b for a, b in zip(X, col)) for col in zip(*_prep(L).inverse))
+        assert gcd(*T, q) == 1
+        assert enumeration._closest(L, (T, q), DEFAULT_NODE_BUDGET) == (want.dist_sq, want.coords)
 
     @pytest.mark.parametrize("t, shrink, ties", [
         ((F(1, 2), F(1, 2), F(1, 2)), True, 8),    # the deep hole: every cube corner
@@ -272,9 +290,9 @@ class TestCoveringRadius:
         assert closest_vector(skew2, got.witness).dist_sq == got.lower_sq
 
     def test_wrong_witness_rejected(self, z2, monkeypatch):
-        verts, mu_sq, _ = enumeration._voronoi_vertex_data(z2, 10_000)
+        verts, mu_sq, _, coords = enumeration._voronoi_vertex_data(z2, 10_000)
         monkeypatch.setattr(enumeration, "_voronoi_vertex_data",
-                            lambda L, budget: (verts, mu_sq, (F(1, 2), F(1, 4))))
+                            lambda L, budget: (verts, mu_sq, (F(1, 2), F(1, 4)), coords))
         with pytest.raises(CertificationFailed):
             covering_radius(z2)
 
@@ -320,7 +338,7 @@ class TestCoveringRadius:
         monkeypatch.setattr(linalg, "solve_matrix",
                             lambda M, R: solves.append(M) or solve_matrix(M, R))
         L = Lattice(linalg.as_mat(rows))
-        verts, got_sq, witness = enumeration._voronoi_vertex_data(L, 10_000)
+        verts, got_sq, witness, _ = enumeration._voronoi_vertex_data(L, 10_000)
         assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
         assert witness in verts
         assert len(solves) == 1
@@ -365,7 +383,7 @@ class TestCoveringRadius:
         L = parse_lattice_file(Path(__file__).parent / "golden" / "r4.txt")
         for K, count, mu_sq in ((L, 104, F(10559, 441)),
                                 (dual(L), 120, F(66772529, 1152216576))):
-            verts, got_sq, witness = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
+            verts, got_sq, witness, _ = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
             assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
             assert all(closest_vector(K, x).dist_sq == linalg.norm_sq(x) for x in verts)
             assert covering_radius(K).lower_sq == mu_sq

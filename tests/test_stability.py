@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from latstab import (
+    BudgetExceeded,
     CertificationFailed,
     DependentRows,
     DimensionMismatch,
@@ -32,7 +34,7 @@ from latstab import (
 from latstab.latfile import parse_lattice_file
 from latstab.lattice import dist_to_integers
 from latstab.linalg import _round_half_even
-from latstab.stability import _slab_step, _Slabs
+from latstab.stability import _slab_step, _violated
 from conftest import seeded_lattices
 from oracles import reference_probe_worst_distance
 
@@ -252,6 +254,12 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_worst_distance(z1, F(1, 3), F(1), FAST)
 
+    def test_negative_radius_rejected(self, z1):
+        # the given constraints skip the listing, so the probe checks the radius itself
+        for constraints in (None, ([], [])):
+            with pytest.raises(ValueError, match="radius_sq must be nonnegative, got -1"):
+                probe_worst_distance(z1, F(1, 4), -1, FAST, _constraints=constraints)
+
 
     def test_wrong_repair_step_rejected(self, z2, monkeypatch):
         # the half-vector starts violate their slabs, so every one is repaired
@@ -270,11 +278,18 @@ class TestProbe:
             probe_worst_distance(z2, F(1, 4), F(1), FAST)
 
     def test_infeasible_witness_rejected(self, z1, monkeypatch):
-        # the ascent's steps overshoot every slab by 1/3
-        real = linalg.vadd
-        monkeypatch.setattr(linalg, "vadd",
-                            lambda u, v: tuple(a + F(1, 3) for a in real(u, v)))
-        with pytest.raises(CertificationFailed):
+        # the ascent's steps overshoot every slab by 1/3 (the push builds its
+        # candidates in a comprehension, a frame of its own before Python 3.12)
+        real = stability._lowest
+
+        def overshoot(Y, p):
+            X, q = real(Y, p)
+            if "push" in (sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name):
+                return real([3 * a + q for a in X], 3 * q)
+            return X, q
+
+        monkeypatch.setattr(stability, "_lowest", overshoot)
+        with pytest.raises(CertificationFailed, match="witness violates the hypothesis"):
             probe_worst_distance(z1, F(1, 4), F(1), FAST)
 
     def test_rank_four_starts_from_the_cell(self):
@@ -290,16 +305,16 @@ class TestProbe:
         # the origin is not ascended, no start twice, and no ascent re-searches
         # the point it has just stepped to
         targets = []
-        real = stability.closest_vector
+        real = stability._closest
 
-        def counted(L, x, **kw):
-            targets.append(x)
-            return real(L, x, **kw)
+        def counted(L, t, budget):
+            targets.append((tuple(t[0]), t[1]))
+            return real(L, t, budget)
 
-        monkeypatch.setattr(stability, "closest_vector", counted)
+        monkeypatch.setattr(stability, "_closest", counted)
         assert probe_worst_distance(z2, F(1, 4), F(1), FAST) == (F(1, 8), (F(-1, 4), F(-1, 4)))
         assert targets and len(set(targets)) == len(targets)
-        assert (0, 0) not in targets
+        assert ((0, 0), 1) not in targets
 
 
 class TestProbeMatchesFractionReference:
@@ -324,6 +339,20 @@ class TestProbeMatchesFractionReference:
                     assert probe_worst_distance(L, delta, r2, cfg) == want, \
                         (L.basis, delta, r2, cfg.max_iters)
 
+    def test_rank_four_golden_and_rank_five(self):
+        """r4.txt starts from the 120 vertices of its dual cell; 2 I_5 lies
+        above the Minkowski cap, starts from half-vectors only, and its
+        symmetric witnesses of equal distance go to the tie rule."""
+        L = parse_lattice_file(GOLDEN / "r4.txt")
+        cfg = ProbeConfig(restarts=0)
+        for r2 in (21, 44):
+            want = reference_probe_worst_distance(L, F(1, 4), r2, cfg)
+            assert probe_worst_distance(L, F(1, 4), r2, cfg) == want
+        rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
+        for r2 in (4, 8, 16):
+            want = reference_probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST)
+            assert probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST) == want
+
     def test_rounding_ties(self, z2, skew2):
         # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2
         for L in (z2, skew2):
@@ -347,28 +376,39 @@ def test_round_half_even_matches_fraction_round(N, Q):
 
 @st.composite
 def _slab_systems(draw):
-    """Independent integer rows R (k <= n <= 4), integer targets T, common
-    denominators D and dd, and a rational x."""
-    n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, n))
-    R = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    """A rational basis B (rank m <= 4, dimension m or m + 1), independent
+    integer coordinate rows C (k <= m), integer targets T over a common
+    denominator dd, a positive scale s of the Gram matrix and a rational
+    point xi in coordinates of the dual basis."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, m + 1))
+    B = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=m, max_size=m))
+    assume(linalg.rank(linalg.as_mat(B)) == m)
+    k = draw(st.integers(1, m))
+    C = draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
                       min_size=k, max_size=k))
-    assume(linalg.rank(linalg.as_mat(R)) == k)
+    assume(linalg.rank(linalg.as_mat(C)) == k)
     T = draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k))
-    x = draw(st.lists(rationals, min_size=n, max_size=n))
-    return R, T, draw(st.integers(1, 12)), draw(st.integers(1, 12)), linalg.as_vec(x)
+    xi = draw(st.lists(rationals, min_size=m, max_size=m))
+    return (Lattice(linalg.as_mat(B)), C, T, draw(st.integers(1, 12)), draw(st.integers(1, 5)),
+            linalg.as_vec(xi))
 
 
 @given(_slab_systems())
 def test_integer_repair_step_matches_almost_near_linear(system):
-    R, T, D, dd, x = system
-    want = almost_near_linear([[F(a, D) for a in r] for r in R], [F(t, dd) for t in T], x)
-    assert _slab_step(R, T, D, dd, x) == want
+    """The step in dual coordinates is the ambient least-squares point of
+    the rows u = c B, read back by xi_i = b_i . y, in lowest terms."""
+    L, C, T, dd, s, xi = system
+    A = [linalg.vec_mat(linalg.as_vec(c), L.basis) for c in C]
+    y = almost_near_linear(A, [F(t, dd) for t in T], linalg.vec_mat(xi, dual(L).basis))
+    want = linalg._scaled([linalg.dot(b, y) for b in L.basis])
+    Gz = [[s * a for a in row] for row in linalg.clear_denominators(L.gram_matrix)[0]]
+    assert _slab_step(C, T, dd, Gz, *linalg._scaled(xi)) == want
 
 
 def test_integer_repair_step_rejects_dependent_rows():
     with pytest.raises(DependentRows):
-        _slab_step([[1, 2], [2, 4]], [1, 1], 1, 4, (F(1, 3), F(0)))
+        _slab_step([[1, 2], [2, 4]], [1, 1], 4, [[1, 0], [0, 1]], (1, 0), 3)
 
 
 def _same_length_pair(n):
@@ -377,10 +417,11 @@ def _same_length_pair(n):
 
 
 @given(st.integers(1, 3).flatmap(_same_length_pair), deltas_below_half)
-def test_integer_slab_test_matches_fraction(ux, delta):
-    u, x = (linalg.as_vec(v) for v in ux)
-    slabs = _Slabs([u], delta)
-    assert bool(slabs.violated(*slabs.products(x))) == (dist_to_integers(linalg.dot(u, x)) > delta)
+def test_integer_slab_test_matches_fraction(cxi, delta):
+    c, xi = [round(a) for a in cxi[0]], linalg.as_vec(cxi[1])
+    X, q = linalg._scaled(xi)
+    got = _violated([sum(a * b for a, b in zip(c, X))], q, delta.numerator, delta.denominator)
+    assert bool(got) == (dist_to_integers(linalg.dot(c, xi)) > delta)
 
 
 class TestStabilityRadius:
@@ -466,6 +507,21 @@ class TestStabilityRadius:
             assert probe.sufficient_radius_sq == 256
             assert len(probe.radius_grid) == max_levels
             assert probe.levels_dropped == levels - max_levels
+
+    def test_budget_error_names_the_probe_level(self, z2, monkeypatch):
+        # no budget exhausts a probe search of Z^2 before the listing of its
+        # levels, so the level r^2 = 2 alone runs on a zero budget
+        real = stability.probe_worst_distance
+
+        def starved(L, delta, r2, cfg, **kw):
+            return real(L, delta, r2, replace(cfg, node_budget=0) if r2 == 2 else cfg, **kw)
+
+        monkeypatch.setattr(stability, "probe_worst_distance", starved)
+        with pytest.raises(BudgetExceeded) as err:
+            stability_radius(z2, F(1, 4), F(1, 100), FAST)
+        assert err.value.budget == 0
+        assert str(err.value) == ("closest_vector at rank 2, radius^2 1/2 exceeded node budget 0, "
+                                  "at probe level radius^2 2")
 
     def test_curve_that_never_dips_rejected(self, z1, monkeypatch):
         monkeypatch.setattr(stability, "probe_worst_distance",
