@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -137,7 +138,11 @@ def _env_budget() -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr, exit code 2."""
+    """Reports a usage error as one line on stderr, exit code 2; reads -1/2 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(EXIT_ERROR, f"error: {message}\n")

@@ -220,13 +220,18 @@ def shortest_vector(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple
 
 
 @per_lattice
+def _minima_listing(L: Lattice, node_budget: int) -> ShortVectorList:
+    """The listing up to the longest working row, for the minima and Minkowski; kept on L."""
+    return list_vectors(L, max(linalg.norm_sq(r) for r in _prep(L).rows), node_budget=node_budget)
+
+
+@per_lattice
 def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> SuccessiveMinima:
     """All rank many successive minima, with rank-increasing witnesses; kept on L."""
-    radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
     minima: list[Fraction] = []
     achieving: list[tuple[int, ...]] = []
     # the basis rows are independent, so vectors are independent iff their coordinates are
-    for coords, nsq in list_vectors(L, radius_sq, node_budget=node_budget).vectors:
+    for coords, nsq in _minima_listing(L, node_budget).vectors:
         if linalg.rank(as_mat(achieving + [coords])) > len(achieving):
             minima.append(nsq)
             achieving.append(coords)

@@ -128,18 +128,17 @@ def minkowski_reduce(L: Lattice, node_budget: int | None = None) -> ReducedBasis
 
     Row k is a shortest vector keeping rows 1..k primitive; ties go to the
     lexicographically greatest sign-canonical ambient vector. Up to rank 4
-    the row norms are the successive minima (van der Waerden 1956), so one
-    listing up to the longest LLL row holds every row, and one walk of it
-    in rank order finds them all: a vector that breaks a prefix breaks every
+    the row norms are the successive minima (van der Waerden 1956), so the
+    listing of successive_minima holds every row, and one walk of it in
+    rank order finds them all: a vector that breaks a prefix breaks every
     longer prefix, since a subset of a primitive system is primitive."""
-    from .enumeration import DEFAULT_NODE_BUDGET, _prep, list_vectors
+    from .enumeration import DEFAULT_NODE_BUDGET, _minima_listing
 
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if L.rank > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"Minkowski reduction capped at rank {MINKOWSKI_MAX_RANK}, got {L.rank}")
-    radius_sq = max(linalg.norm_sq(r) for r in _prep(L).rows)
     ranked = []
-    for coords, nsq in list_vectors(L, radius_sq, node_budget=budget).vectors:
+    for coords, nsq in _minima_listing(L, budget).vectors:
         vec, coords = _ambient_canonical(linalg.vec_mat(as_vec(coords), L.basis), coords)
         ranked.append((nsq, tuple(-a for a in vec), vec, coords))
     rows: list[Vec] = []

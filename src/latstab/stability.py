@@ -7,9 +7,7 @@ that produce nearby dual vectors (coordinate rounding and exact CVP), the
 linear-system analogue, transference inequalities between minima of a
 lattice and its dual, the tightness construction at threshold 1/3, and a
 seeded probe that lower-bounds the worst-case distance per constraint
-radius. The probe works in the dual coordinates xi = X / q of x = xi W,
-where u = c B gives u.x = c.xi, so its ascent is integer arithmetic; each
-witness it reports is exactly feasible, and analytic upper bounds come with it.
+radius, with exactly feasible witnesses and analytic upper bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .enumeration import (
     successive_minima,
 )
 from .errors import (BudgetExceeded, CertificationFailed, DependentRows, DimensionMismatch,
-                     NotInSpan, SingularMatrix)
+                     SingularMatrix)
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
 from .linalg import Mat, Vec, _lowest, as_mat, as_vec
 from .reduction import MINKOWSKI_MAX_RANK, lll, minkowski_reduce
@@ -80,13 +78,11 @@ def check_hypothesis(L: Lattice, x, delta, radius_sq,
     radius_sq = linalg.as_rational(radius_sq)
     if not 0 <= delta < HALF:
         raise ValueError(f"delta must be in [0, 1/2), got {delta}")
-    if linalg.rowspace_coefficients(L.basis, x) is None:
-        raise NotInSpan("x must lie in span(L)")
+    Bx = dual_coordinates(L, x)  # NotInSpan outside span(L); u = c B gives u.x = c.Bx
     violations = []
     reps = list_vectors(L, radius_sq, node_budget=node_budget).vectors
     for coords, _ in reps:
-        u = linalg.vec_mat(as_vec(coords), L.basis)
-        s = linalg.dot(u, x)
+        s = linalg.dot(as_vec(coords), Bx)
         d = dist_to_integers(s)
         if d > delta:
             violations.append(Violation(coords=coords, inner_product=s, dist_to_int=d))
@@ -334,12 +330,23 @@ def _violated(Ns: list[int], q: int, dn: int, dd: int) -> list[int]:
     return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
 
 
-def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
-                         *, extra_starts: tuple[Vec, ...] = (),
-                         _constraints: tuple | None = None) -> tuple[Fraction, Vec]:
-    """Heuristic maximum of dist(x, dual)^2 over the feasible slab region
-    {x in span(L) : every u in L with ||u||^2 <= radius_sq has |u.x|
-    within delta of an integer}.
+def probe_worst_distance(L: Lattice, delta, radius_sq,
+                         cfg: ProbeConfig | None = None) -> tuple[Fraction, Vec]:
+    """Heuristic maximum of dist(x, dual)^2 over {x in span(L) : every u in L
+    with ||u||^2 <= radius_sq has |u.x| within delta of an integer}, a certified
+    lower bound with an exactly feasible witness: _probe_levels at one level."""
+    cfg = cfg or ProbeConfig()
+    delta = linalg.as_rational(delta)
+    if not 0 <= delta < THIRD:
+        raise ValueError(f"delta must be in [0, 1/3), got {delta}")
+    listing = list_vectors(L, radius_sq, node_budget=cfg.node_budget)
+    C = tuple(c for c, _ in listing.vectors)
+    return next(_probe_levels(L, delta, C, [(listing.radius_sq, len(C))], cfg))
+
+
+def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfig):
+    """Yield the probe's (f, witness) at each level (radius_sq, k), over the
+    constraints C[:k]: a prefix of the listing's coordinate rows c, in norm order.
 
     Multistart local ascent in the coordinates xi of the dual basis W,
     x = xi W, where a constraint u = c B gives u.x = c.xi: every point is a
@@ -347,29 +354,17 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
     branched to the nearest integer per constraint, repaired onto the slab
     faces by least squares in the metric of the dual (the ambient nearest
     point, as it lies in span(L)), then pushed away from its nearest dual
-    point until a slab face blocks, all in integers. The returned witness is
-    exactly feasible, so the value is a certified lower bound for the true
-    worst case. The answer starts at (0, origin), feasible and on the dual,
-    so the probe never fails; ties go to the least ambient witness, so the
-    order of the starts does not matter. An extra start x enters as
-    xi_i = b_i.x, its projection onto span(L).
+    point until a slab face blocks, all in integers. The starts (the dual
+    cell's vertices or the half-vectors, and cfg.restarts seeded points) are
+    made once, and each level's best point joins them for the later levels.
+    Each level's answer starts at (0, origin), feasible and on the dual, so
+    the probe never fails; ties go to the least ambient witness, so the
+    order of the starts does not matter.
     """
-    cfg = cfg or ProbeConfig()
-    delta = linalg.as_rational(delta)
-    radius_sq = linalg.as_rational(radius_sq)
-    if not 0 <= delta < THIRD:
-        raise ValueError(f"delta must be in [0, 1/3), got {delta}")
-    if radius_sq < 0:
-        raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     Ld, m = dual(L), L.rank
-    if _constraints is None:  # else the coordinate rows c and the ambient u = c B
-        C = [c for c, _ in list_vectors(L, radius_sq, node_budget=cfg.node_budget).vectors]
-        U = [linalg.vec_mat(as_vec(c), L.basis) for c in C]
-    else:
-        C, U = _constraints
+    U = [linalg.vec_mat(as_vec(c), L.basis) for c in C]
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
-    cols = list(zip(*C)) or [()] * m
     to_working = tuple(zip(*_prep(Ld).inverse))
 
     def products(X) -> list[int]:
@@ -464,20 +459,22 @@ def probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None =
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]
     starts += [(tuple(mask >> i & 1 for i in range(m)), 2) for mask in masks]
-    starts += [linalg._scaled([linalg.dot(b, as_vec(x)) for b in L.basis]) for x in extra_starts]
     rng = SplitMix64(cfg.seed)
     starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(cfg.restarts)]
 
-    best_f, best_p = Fraction(0), ((0,) * m, 1)
-    for got in filter(None, map(local_max, dict.fromkeys(starts))):
-        if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
-            best_f, best_p = got
-    w = ambient(best_p)
-    # certified independently of the integer slab tests, in plain Fractions
-    if not all(dist_to_integers(linalg.dot(u, w)) <= delta for u in U):
-        raise CertificationFailed(f"the probe witness violates the hypothesis at "
-                                  f"radius^2 {radius_sq}")
-    return best_f, w
+    for radius_sq, k in levels:
+        cols = list(zip(*C[:k])) or [()] * m
+        best_f, best_p = Fraction(0), ((0,) * m, 1)
+        for got in filter(None, map(local_max, dict.fromkeys(starts))):
+            if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
+                best_f, best_p = got
+        w = ambient(best_p)
+        # certified independently of the integer slab tests, in plain Fractions
+        if not all(dist_to_integers(linalg.dot(u, w)) <= delta for u in U[:k]):
+            raise CertificationFailed(f"the probe witness violates the hypothesis at "
+                                      f"radius^2 {radius_sq}")
+        starts.append(best_p)
+        yield best_f, w
 
 
 @dataclass(frozen=True)
@@ -533,31 +530,24 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     suff_radius_sq = K * K * base_radius_sq
     suff_bound_sq = base_bound_sq / (K * K)
 
-    all_vecs = list_vectors(L, suff_radius_sq, node_budget=cfg.node_budget)
-    coords = [c for c, _ in all_vecs.vectors]
-    uvecs = [linalg.vec_mat(as_vec(c), L.basis) for c in coords]
-    norms = [nsq for _, nsq in all_vecs.vectors]
+    coords, norms = zip(*list_vectors(L, suff_radius_sq, node_budget=cfg.node_budget))
     levels = sorted(set(norms))
     levels_dropped = max(0, len(levels) - max_levels)
     if levels_dropped:
         levels = levels[: max_levels - 1] + [levels[-1]]
 
-    f_hats: list[Fraction] = []
-    witnesses: list[Vec] = []
-    for r2 in levels:
-        k = bisect_right(norms, r2)
-        try:
-            f, w = probe_worst_distance(L, delta, r2, cfg, extra_starts=tuple(witnesses),
-                                        _constraints=(coords[:k], uvecs[:k]))
-        except BudgetExceeded as err:
-            err.args = (f"{err}, at probe level radius^2 {r2}",)
-            raise
-        f_hats.append(f)
-        witnesses.append(w)
+    curve: list[tuple[Fraction, Vec]] = []  # (f, witness) per level
+    try:
+        for got in _probe_levels(L, delta, coords,
+                                 [(r2, bisect_right(norms, r2)) for r2 in levels], cfg):
+            curve.append(got)
+    except BudgetExceeded as err:
+        err.args = (f"{err}, at probe level radius^2 {levels[len(curve)]}",)
+        raise
     for i in range(len(levels) - 2, -1, -1):
-        if f_hats[i + 1] > f_hats[i]:
-            f_hats[i] = f_hats[i + 1]
-            witnesses[i] = witnesses[i + 1]
+        if curve[i + 1][0] > curve[i][0]:
+            curve[i] = curve[i + 1]
+    f_hats, witnesses = zip(*curve)
     estimated = next((r2 for r2, f in zip(levels, f_hats) if f <= epsilon_sq), None)
     if estimated is None:
         raise CertificationFailed(f"the probe exceeds epsilon^2 {epsilon_sq} at the "
@@ -566,8 +556,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         delta=delta,
         epsilon_sq=epsilon_sq,
         radius_grid=tuple(levels),
-        f_hat_sq=tuple(f_hats),
-        witnesses=tuple(witnesses),
+        f_hat_sq=f_hats,
+        witnesses=witnesses,
         estimated_r_sq=estimated,
         seed=cfg.seed,
         restarts=cfg.restarts,

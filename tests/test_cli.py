@@ -267,6 +267,9 @@ class TestExitCodes:
         (("probe", "--delta", "1/4", "--r2", "-1"), "-1"),
         (("svp", "--r2", "-3"), "-3"),
         (("hypothesis", "-x", "0 0", "--delta", "1/4", "--r2", "-2"), "-2"),
+        (("probe", "--delta", "1/4", "--r2", "-1/2"), "-1/2"),
+        (("svp", "--r2", "-3/4"), "-3/4"),
+        (("hypothesis", "-x", "0 0", "--delta", "1/4", "--r2", "-1/2"), "-1/2"),
     ])
     def test_negative_radius(self, run, mixed_file, argv, radius_sq):
         code, out, err = run(argv[0], mixed_file, *argv[1:])

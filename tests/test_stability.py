@@ -1,7 +1,9 @@
 import sys
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -255,11 +257,8 @@ class TestProbe:
             probe_worst_distance(z1, F(1, 3), F(1), FAST)
 
     def test_negative_radius_rejected(self, z1):
-        # the given constraints skip the listing, so the probe checks the radius itself
-        for constraints in (None, ([], [])):
-            with pytest.raises(ValueError, match="radius_sq must be nonnegative, got -1"):
-                probe_worst_distance(z1, F(1, 4), -1, FAST, _constraints=constraints)
-
+        with pytest.raises(ValueError, match="radius_sq must be nonnegative, got -1"):
+            probe_worst_distance(z1, F(1, 4), -1, FAST)
 
     def test_wrong_repair_step_rejected(self, z2, monkeypatch):
         # the half-vector starts violate their slabs, so every one is repaired
@@ -353,15 +352,52 @@ class TestProbeMatchesFractionReference:
             want = reference_probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST)
             assert probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST) == want
 
-    def test_rounding_ties(self, z2, skew2):
-        # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2
+    def test_rounding_ties(self, z2, skew2, monkeypatch):
+        # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2; the
+        # point xi = (1/2, 3/2) is the probe's one seeded start
+        monkeypatch.setattr(stability, "SplitMix64",
+                            lambda seed: SimpleNamespace(fraction=iter((F(1, 2), F(3, 2))).__next__))
         for L in (z2, skew2):
             W = dual(L).basis
             tie = linalg.vadd(linalg.vscale(F(1, 2), W[0]), linalg.vscale(F(3, 2), W[1]))
             for delta in (F(0), F(1, 4)):
-                got = probe_worst_distance(L, delta, F(2), FAST, extra_starts=(tie,))
-                want = reference_probe_worst_distance(L, delta, F(2), FAST, extra_starts=(tie,))
+                got = probe_worst_distance(L, delta, F(2), replace(FAST, restarts=1))
+                want = reference_probe_worst_distance(L, delta, F(2), replace(FAST, restarts=0),
+                                                      extra_starts=(tie,))
                 assert got == want
+
+    def test_sweep_is_the_warm_started_reference(self, monkeypatch):
+        """Before the backward pass, each level of a sweep is the reference
+        probe started also from the witnesses of the levels below it."""
+        real = stability._probe_levels
+        sweeps = []
+
+        def recorded(L, delta, C, levels, cfg):
+            sweeps.append((L, delta, [r2 for r2, _ in levels], cfg, []))
+            for got in real(L, delta, C, levels, cfg):
+                sweeps[-1][-1].append(got)
+                yield got
+
+        monkeypatch.setattr(stability, "_probe_levels", recorded)
+        # on these bases, a sweep without the warm starts misses a level's answer
+        for seed, n, m in ((5, 2, 2), (2, 3, 2), (8, 3, 3)):
+            L = random_lattice(seed, n, m, entry_bound=3)
+            stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=4)
+        rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
+        stability_radius(Lattice(rows), F(1, 4), F(1, 4), FAST, max_levels=2)
+        r4 = parse_lattice_file(GOLDEN / "r4.txt")
+        listing = list_vectors(r4, 44).vectors
+        norms = [nsq for _, nsq in listing]
+        list(stability._probe_levels(r4, F(1, 4), [c for c, _ in listing],
+                                     [(r2, bisect_right(norms, r2)) for r2 in sorted(set(norms))],
+                                     ProbeConfig(restarts=0)))
+        assert {L.rank for L, *_ in sweeps} == {2, 3, 4, 5}
+        for L, delta, radii, cfg, got in sweeps:
+            assert len(got) == len(radii) > 1
+            for i, r2 in enumerate(radii):
+                earlier = tuple(w for _, w in got[:i])
+                assert got[i] == reference_probe_worst_distance(L, delta, r2, cfg,
+                                                                extra_starts=earlier), (L.basis, r2)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24)
@@ -473,12 +509,13 @@ class TestStabilityRadius:
         """Here the probe at r^2 = 34 finds less than the one at 36 does, and
         the witness of 36 is feasible at 34 too, so the pass carries it down."""
         raw = {}
-        probe = stability.probe_worst_distance
+        real = stability._probe_levels
 
-        def recorded(L, delta, r2, *args, **kwargs):
-            raw[r2] = probe(L, delta, r2, *args, **kwargs)
-            return raw[r2]
-        monkeypatch.setattr(stability, "probe_worst_distance", recorded)
+        def recorded(L, delta, C, levels, cfg):
+            for (r2, _), got in zip(levels, real(L, delta, C, levels, cfg)):
+                raw[r2] = got
+                yield got
+        monkeypatch.setattr(stability, "_probe_levels", recorded)
         L = random_lattice(18, 2, 2, entry_bound=4, min_lambda1_sq=4)
         got = stability_radius(L, F(1, 4), F(1, 100), ProbeConfig(restarts=0), max_levels=8)
         i = got.radius_grid.index(34)
@@ -510,13 +547,14 @@ class TestStabilityRadius:
 
     def test_budget_error_names_the_probe_level(self, z2, monkeypatch):
         # no budget exhausts a probe search of Z^2 before the listing of its
-        # levels, so the level r^2 = 2 alone runs on a zero budget
-        real = stability.probe_worst_distance
+        # levels, so the sweep from the level r^2 = 2 on runs on a zero budget
+        real = stability._probe_levels
 
-        def starved(L, delta, r2, cfg, **kw):
-            return real(L, delta, r2, replace(cfg, node_budget=0) if r2 == 2 else cfg, **kw)
+        def starved(L, delta, C, levels, cfg):
+            yield from real(L, delta, C, levels[:1], cfg)
+            yield from real(L, delta, C, levels[1:], replace(cfg, node_budget=0))
 
-        monkeypatch.setattr(stability, "probe_worst_distance", starved)
+        monkeypatch.setattr(stability, "_probe_levels", starved)
         with pytest.raises(BudgetExceeded) as err:
             stability_radius(z2, F(1, 4), F(1, 100), FAST)
         assert err.value.budget == 0
@@ -524,8 +562,8 @@ class TestStabilityRadius:
                                   "at probe level radius^2 2")
 
     def test_curve_that_never_dips_rejected(self, z1, monkeypatch):
-        monkeypatch.setattr(stability, "probe_worst_distance",
-                            lambda L, delta, r2, cfg, **kw: (F(1), (F(0),)))
+        monkeypatch.setattr(stability, "_probe_levels",
+                            lambda L, delta, C, levels, cfg: ((F(1), (F(0),)) for _ in levels))
         with pytest.raises(CertificationFailed):
             stability_radius(z1, F(1, 4), F(1, 100), FAST)
 
@@ -545,6 +583,22 @@ class TestDegenerateFamily:
         assert fam.dual_minima_sq == (F(1, 100), 1)
         assert fam.mu_dual_sq == F(101, 400)
         assert fam.probe.estimated_r_sq <= fam.probe.sufficient_radius_sq
+
+    def test_one_listing_for_reduction_and_minima(self, monkeypatch):
+        # the sweep's Minkowski reduction and minima_sq both walk the listing
+        # of diag(1, 10) up to its longest working row, radius^2 100
+        listed = []
+        real = enumeration.list_vectors
+
+        def counted(K, r2, node_budget):
+            listed.append((K, r2))
+            return real(K, r2, node_budget=node_budget)
+
+        monkeypatch.setattr(enumeration, "list_vectors", counted)
+        monkeypatch.setattr(stability, "list_vectors", counted)
+        fam = degenerate_family(1, [10], cfg=FAST)[0]
+        assert fam.minima_sq == (1, 100) and fam.probe.reduction_kind == "minkowski"
+        assert sum(K is fam.lattice and r2 == 100 for K, r2 in listed) == 1
 
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):
