@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge
@@ -252,26 +253,25 @@ def closest_vector(L: Lattice, x, project: bool = False,
     (the orthogonal part is constant across lattice points).
     """
     x = as_vec(x)
-    prep = _prep(L)
-    t = linalg.rowspace_coefficients(prep.rows, x)
+    t = linalg.rowspace_coefficients(L.basis, x)
     extra = Fraction(0)
     if t is None:
         if not project:
             raise NotInSpan("target is outside span(L)")
-        x_in = linalg.project_onto_rowspace(L.basis, x)
-        extra = linalg.norm_sq(linalg.vsub(x, x_in))
-        t = linalg.rowspace_coefficients(prep.rows, x_in)
-        if t is None:
-            raise CertificationFailed("the projection of the target is outside span(L)")
+        t = linalg.solve(L.gram_matrix, linalg.mat_vec(L.basis, x))
+        extra = linalg.norm_sq(linalg.vsub(x, linalg.vec_mat(t, L.basis)))
     dist_sq, coords = _closest(L, _scaled(t), node_budget)
     point = linalg.vec_mat(as_vec(coords), L.basis)
     return NearResult(point=point, coords=coords, dist_sq=dist_sq + extra)
 
 
-def _closest(L: Lattice, t: tuple, node_budget: int) -> tuple[Fraction, tuple[int, ...]]:
-    """closest_vector's search for the scaled working coordinates t = (T, q):
-    the least squared distance, and the least stored coordinates reaching it."""
+def _closest(L: Lattice, p: tuple, node_budget: int) -> tuple[Fraction, tuple[int, ...]]:
+    """Every nearest-point search: for X / q in stored coordinates, p = (X, q) in
+    lowest terms (kept so by the unimodular map to working coordinates), the
+    least squared distance and the least stored coordinates reaching it."""
     prep = _prep(L)
+    X, q = p
+    t = tuple(sum(map(mul, X, col)) for col in zip(*prep.inverse)), q
     best: list = [prep.plane_sq, []]  # best[0] is also the scan's shrinking bound
 
     def on_leaf(c_work: tuple[int, ...], dsq: Fraction):
@@ -366,8 +366,7 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
     best = (Fraction(0), linalg.zeros(L.ambient_dim))
 
     def dist_sq_at(tcoords: Vec) -> Fraction:
-        pt = linalg.vec_mat(tcoords, L.basis)
-        return closest_vector(L, pt, node_budget=node_budget).dist_sq
+        return _closest(L, _scaled(tcoords), node_budget)[0]
 
     for t0 in starts:
         t = t0

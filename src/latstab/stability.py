@@ -24,7 +24,6 @@ from .enumeration import (
     CoveringRadiusBounds,
     NearResult,
     _closest,
-    _prep,
     _voronoi_vertex_data,
     closest_vector,
     covering_radius,
@@ -108,36 +107,28 @@ def near_dual_vector(L: Lattice, x, node_budget: int = DEFAULT_NODE_BUDGET) -> N
     return closest_vector(dual(L), x, node_budget=node_budget)
 
 
-def _nearest_solution(A: Mat, b: Vec, x: Vec, with_inverse: bool = False) -> tuple[Vec, Vec, Mat]:
-    """almost_near_linear's y, the residual r = A x - b and, when asked,
-    (A A^T)^-1 (else ()), all from one elimination of the Gram matrix A A^T."""
+def _linear_system(A, b, x) -> tuple[Mat, Vec, Vec]:
+    """A, b and x as Fractions, checked to have matching shapes."""
+    A, b, x = as_mat(A), as_vec(b), as_vec(x)
     if not A or len(b) != len(A) or len(x) != len(A[0]):
         raise DimensionMismatch(f"A has shape {len(A)}x{len(A[0]) if A else 0}, "
                                 f"b has {len(b)} entries and x has {len(x)}")
-    r = linalg.vsub(linalg.mat_vec(A, x), b)
-    G = linalg.gram(A)
-    Ginv: Mat = ()
-    try:
-        if with_inverse:
-            Ginv = linalg.invert(G)
-            s = linalg.mat_vec(Ginv, r)
-        else:
-            s = linalg.solve(G, r)
-    except SingularMatrix:
-        raise DependentRows("the system matrix must have independent rows") from None
-    y = linalg.vsub(x, linalg.vec_mat(s, A))
-    if linalg.mat_vec(A, y) != b:
-        raise CertificationFailed("the corrected point does not solve A y = b")
-    return y, r, Ginv
+    return A, b, x
 
 
 def almost_near_linear(A, b, x) -> Vec:
     """Exact solution of A y = b nearest to x (rows of A independent).
 
     y = x - A^T (A A^T)^-1 (A x - b); the correction is the orthogonal
-    projection of the residual back through the row space.
+    projection of the residual back through the row space. This is the
+    probe's repair step in the identity metric, on A and b scaled to integers.
     """
-    return _nearest_solution(as_mat(A), as_vec(b), as_vec(x))[0]
+    A, b, x = _linear_system(A, b, x)
+    Az, D = linalg.clear_denominators(A)
+    T, dd = linalg._scaled([D * a for a in b])
+    identity = [[int(i == j) for j in range(len(x))] for i in range(len(x))]
+    Y, p = _slab_step(Az, T, dd, identity, *linalg._scaled(x))
+    return tuple(Fraction(a, p) for a in Y)
 
 
 @dataclass(frozen=True)
@@ -159,11 +150,14 @@ def residual_amplification(A, b, x, seed: int = 0) -> ResidualReport:
     rational bound sigma_min^2 >= 1/trace((AA^T)^-1)) are checked exactly and
     raise CertificationFailed when they fail.
     """
-    A = as_mat(A)
-    x = as_vec(x)
-    y, r, Ginv = _nearest_solution(A, as_vec(b), x, with_inverse=True)
+    A, b, x = _linear_system(A, b, x)
+    r = linalg.vsub(linalg.mat_vec(A, x), b)
+    try:
+        Ginv = linalg.invert(linalg.gram(A))
+    except SingularMatrix:
+        raise DependentRows("the system matrix must have independent rows") from None
+    corr = linalg.vec_mat(linalg.mat_vec(Ginv, r), A)
     residual_sq = linalg.norm_sq(r)
-    corr = linalg.vsub(x, y)
     correction_sq = linalg.norm_sq(corr)
     if linalg.mat_vec(A, corr) != r:
         raise CertificationFailed("A (x - y) differs from the residual A x - b")
@@ -179,7 +173,7 @@ def residual_amplification(A, b, x, seed: int = 0) -> ResidualReport:
         v = tuple(e / scale for e in v)
     rayleigh = linalg.dot(v, linalg.mat_vec(Ginv, v)) / linalg.dot(v, v)
     return ResidualReport(
-        y=y,
+        y=linalg.vsub(x, corr),
         residual_norm_sq=residual_sq,
         correction_norm_sq=correction_sq,
         sigma_min_sq_lower=sigma_min_sq_lower,
@@ -304,10 +298,11 @@ def sharpness_witness(L: Lattice, verify_radius_sq=Fraction(100),
 
 
 def _slab_step(C: list, T: list[int], dd: int, Gz, X, q: int) -> tuple[tuple[int, ...], int]:
-    """almost_near_linear in dual coordinates, in integers: the point nearest
-    to xi = X / q in the dual metric with c.y = t / dd for the independent
-    rows c of C. With R' = C Gz (Gz: L's Gram matrix times any positive
-    integer), H = C R'^T and rho = C X dd - T q, it is y = (X dd det H -
+    """The least-squares step in integers: the point nearest to xi = X / q in
+    the metric Gz with c.y = t / dd for the independent rows c of C (the
+    probe's repair passes L's Gram matrix times any positive integer, which
+    is the dual metric in dual coordinates; almost_near_linear the identity).
+    With R' = C Gz, H = C R'^T and rho = C X dd - T q, it is y = (X dd det H -
     R'^T sigma) / (q dd det H) for sigma = det H * H^-1 rho, the last column
     of [H | rho] after the shared fraction-free elimination."""
     Rp = [[sum(map(mul, c, g)) for g in Gz] for c in C]
@@ -365,7 +360,6 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     U = [linalg.vec_mat(as_vec(c), L.basis) for c in C]
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
-    to_working = tuple(zip(*_prep(Ld).inverse))
 
     def products(X) -> list[int]:
         """c.X for every constraint row c, one coordinate column at a time."""
@@ -373,9 +367,6 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         for a, col in zip(X[1:], cols[1:]):
             Ns = map(add, Ns, map(a.__mul__, col))
         return list(Ns)
-
-    def search(p) -> tuple[Fraction, tuple[int, ...]]:
-        return _closest(Ld, ([sum(map(mul, p[0], c)) for c in to_working], p[1]), cfg.node_budget)
 
     def repair(X, q: int):
         """A feasible point near X / q with its slab products, or None."""
@@ -437,11 +428,11 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         if got is None:
             return None
         p, Ns = got
-        near = search(p)
+        near = _closest(Ld, p, cfg.node_budget)
         for _ in range(cfg.max_iters - 1):
             if not near[0]:
                 break
-            top = max(((search(c), c) for c in push(p, Ns, near[1])),
+            top = max(((_closest(Ld, c, cfg.node_budget), c) for c in push(p, Ns, near[1])),
                       key=lambda t: t[0][0], default=(near, p))
             if top[0][0] <= near[0]:
                 break
@@ -588,6 +579,7 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
     stability radius. Reports minima of both sides, the exact dual covering
     radius, and a stability probe per member."""
     c = linalg.as_rational(c)
+    cfg = cfg or ProbeConfig()
     out = []
     for d in d_values:
         d = linalg.as_rational(d)
@@ -598,9 +590,9 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
         out.append(FamilyDiagnostics(
             scale=d,
             lattice=L,
-            minima_sq=successive_minima(L).minima_sq,
-            dual_minima_sq=successive_minima(dual(L)).minima_sq,
-            mu_dual_sq=covering_radius(dual(L), "exact").lower_sq,
+            minima_sq=successive_minima(L, node_budget=cfg.node_budget).minima_sq,
+            dual_minima_sq=successive_minima(dual(L), node_budget=cfg.node_budget).minima_sq,
+            mu_dual_sq=covering_radius(dual(L), "exact", node_budget=cfg.node_budget).lower_sq,
             probe=probe,
         ))
     return tuple(out)

@@ -77,6 +77,16 @@ def reference_solve_matrix(M, R):
     return tuple(tuple(row[m:]) for row in rows)
 
 
+def reference_almost_near_linear(A, b, x) -> Vec:
+    """The solution of A y = b nearest to x by its formula,
+    y = x - A^T (A A^T)^-1 (A x - b), the solve by Fraction elimination."""
+    A, b, x = as_mat(A), as_vec(b), as_vec(x)
+    G = [[sum(p * q for p, q in zip(u, v)) for v in A] for u in A]
+    r = [(sum(p * q for p, q in zip(u, x)) - bi,) for u, bi in zip(A, b)]
+    s = [row[0] for row in reference_solve_matrix(G, r)]
+    return tuple(xj - sum(si * u[j] for si, u in zip(s, A)) for j, xj in enumerate(x))
+
+
 def reference_rowspace_coefficients(B, x):
     k = len(B)
     rows = [[*col, xj] for col, xj in zip(zip(*B), x)]

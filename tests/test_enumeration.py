@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -102,12 +103,6 @@ class TestClosestVector:
         assert near.point == (0, 0)
         assert near.dist_sq == F(17, 16)
 
-    def test_projection_off_the_span_rejected(self, monkeypatch):
-        L = Lattice(((F(1), F(0)),))
-        monkeypatch.setattr(linalg, "project_onto_rowspace", lambda B, x: x)
-        with pytest.raises(CertificationFailed):
-            closest_vector(L, (F(1, 4), 1), project=True)
-
     def test_matches_box_oracle(self):
         lattices = seeded_lattices(303, 10, n_max=3, entry_bound=3)
         for idx, L in enumerate(lattices):
@@ -207,15 +202,20 @@ class TestIntegerScan:
 
     @given(_rational_bases(), st.data())
     def test_coordinate_search_matches_closest_vector(self, L, data):
-        """The search the probe runs: stored coordinates X / q, mapped to
-        working ones by the inverse transform, stay in lowest terms and give
-        closest_vector's distance and coordinates, ties included."""
+        """The search every query enters: the stored coordinates (X, q) reach
+        the scan as working ones still in lowest terms, and give the
+        distance and coordinates of the Fraction scan on the ambient point,
+        ties included."""
         xi = tuple(data.draw(st.lists(_coords, min_size=L.rank, max_size=L.rank)))
-        want = closest_vector(L, linalg.vec_mat(xi, L.basis))
+        want = reference_closest_vector(L, linalg.vec_mat(xi, L.basis))
         X, q = linalg._scaled(xi)
-        T = tuple(sum(a * b for a, b in zip(X, col)) for col in zip(*_prep(L).inverse))
-        assert gcd(*T, q) == 1
-        assert enumeration._closest(L, (T, q), DEFAULT_NODE_BUDGET) == (want.dist_sq, want.coords)
+        scanned = []
+        with patch.object(enumeration, "_se_scan",
+                          lambda prep, t, *rest: scanned.append(t) or _se_scan(prep, t, *rest)):
+            got = enumeration._closest(L, (X, q), DEFAULT_NODE_BUDGET)
+        assert got == (want.dist_sq, want.coords)
+        (T, q_scan), = scanned
+        assert q_scan == q and gcd(*T, q) == 1
 
     @pytest.mark.parametrize("t, shrink, ties", [
         ((F(1, 2), F(1, 2), F(1, 2)), True, 8),    # the deep hole: every cube corner
@@ -402,6 +402,21 @@ class TestCoveringRadius:
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))
         got = covering_radius(Lattice(rows), "heuristic")
         assert got.lower_sq == got.upper_sq == F(1)
+
+    def test_heuristic_ascent_eliminates_nothing_per_evaluation(self, monkeypatch):
+        """The ascent searches integer coordinates directly: its eliminations
+        are the lattice's one-off ones, however many starts it climbs from."""
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate",
+                            lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
+        counts = []
+        for restarts in (1, 4):
+            calls.clear()
+            L = parse_lattice_file(Path(__file__).parent / "golden" / "b7.txt")
+            covering_radius(L, "heuristic", restarts=restarts)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_mode_validated(self, z2):
         with pytest.raises(ValueError):

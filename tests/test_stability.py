@@ -38,7 +38,7 @@ from latstab.lattice import dist_to_integers
 from latstab.linalg import _round_half_even
 from latstab.stability import _slab_step, _violated
 from conftest import seeded_lattices
-from oracles import reference_probe_worst_distance
+from oracles import reference_almost_near_linear, reference_probe_worst_distance
 
 FAST = ProbeConfig(seed=0, restarts=8)
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,25 +141,30 @@ class TestAlmostNearLinear:
         assert len(calls) == 2
 
     def test_wrong_solution_rejected(self, monkeypatch):
-        real = linalg.solve
-        monkeypatch.setattr(linalg, "solve",
-                            lambda M, b: tuple(a + F(1, 7) for a in real(M, b)))
-        with pytest.raises(CertificationFailed):
+        # the step's sigma is the last column of [H | rho] after elimination
+        real = linalg._eliminate
+
+        def wrong(rows, ncols):
+            pivots, d = real(rows, ncols)
+            if sys._getframe(1).f_code is stability._slab_step.__code__:
+                rows[0] = [*rows[0][:-1], rows[0][-1] + 1]
+            return pivots, d
+
+        monkeypatch.setattr(linalg, "_eliminate", wrong)
+        with pytest.raises(CertificationFailed, match="does not solve A y = b"):
             almost_near_linear(((F(1), F(1)),), (F(1),), (F(3, 5), F(3, 5)))
 
-    @pytest.mark.parametrize("y_nudge, inverse_scale", [(F(1, 7), 1), (0, F(1, 100))])
-    def test_residual_identities_checked(self, monkeypatch, y_nudge, inverse_scale):
-        """A nudged y breaks A (x - y) = r; a shrunken (AA^T)^-1 inflates the
-        sigma_min bound past correction^2 * sigma_min^2 <= residual^2."""
-        real = stability._nearest_solution
-
-        def wrong(A, b, x, with_inverse=False):
-            y, r, Ginv = real(A, b, x, with_inverse)
-            return ((y[0] + y_nudge, *y[1:]), r,
-                    tuple(tuple(g * inverse_scale for g in row) for row in Ginv))
-
-        monkeypatch.setattr(stability, "_nearest_solution", wrong)
-        with pytest.raises(CertificationFailed):
+    @pytest.mark.parametrize("corrupt, message", [
+        # (AA^T)^-1 r changes, so A (x - y) = r breaks
+        (lambda G: ((G[0][0] + F(1, 7), G[0][1]), G[1]), "differs from the residual"),
+        # r = (1, 0) does not see the second column, but the trace shrinks to
+        # 3/4 and the bound sigma_min^2 >= 4/3 exceeds residual^2 / correction^2 = 1
+        (lambda G: (G[0], (G[1][0], -G[1][1])), "exceeds residual"),
+    ], ids=["residual-identity", "sigma-bound"])
+    def test_residual_identities_checked(self, monkeypatch, corrupt, message):
+        real = linalg.invert
+        monkeypatch.setattr(linalg, "invert", lambda M: corrupt(real(M)))
+        with pytest.raises(CertificationFailed, match=message):
             residual_amplification(((F(1), F(0), F(0)), (F(0), F(2), F(0))), (1, 2), (2, 1, 5))
 
 
@@ -432,12 +437,15 @@ def _slab_systems(draw):
 
 @given(_slab_systems())
 def test_integer_repair_step_matches_almost_near_linear(system):
-    """The step in dual coordinates is the ambient least-squares point of
-    the rows u = c B, read back by xi_i = b_i . y, in lowest terms."""
+    """almost_near_linear is the Fraction formula's least-squares point, and
+    the step in dual coordinates is that ambient point for the rows u = c B,
+    read back by xi_i = b_i . y, in lowest terms."""
     L, C, T, dd, s, xi = system
     A = [linalg.vec_mat(linalg.as_vec(c), L.basis) for c in C]
-    y = almost_near_linear(A, [F(t, dd) for t in T], linalg.vec_mat(xi, dual(L).basis))
-    want = linalg._scaled([linalg.dot(b, y) for b in L.basis])
+    b, x = [F(t, dd) for t in T], linalg.vec_mat(xi, dual(L).basis)
+    y = reference_almost_near_linear(A, b, x)
+    assert almost_near_linear(A, b, x) == y
+    want = linalg._scaled([linalg.dot(v, y) for v in L.basis])
     Gz = [[s * a for a in row] for row in linalg.clear_denominators(L.gram_matrix)[0]]
     assert _slab_step(C, T, dd, Gz, *linalg._scaled(xi)) == want
 
@@ -599,6 +607,25 @@ class TestDegenerateFamily:
         fam = degenerate_family(1, [10], cfg=FAST)[0]
         assert fam.minima_sq == (1, 100) and fam.probe.reduction_kind == "minkowski"
         assert sum(K is fam.lattice and r2 == 100 for K, r2 in listed) == 1
+
+    def test_diagnostics_run_at_the_configured_budget(self, monkeypatch):
+        # the minima of both sides and the dual's exact covering radius, whose
+        # certificate is a CVP, search under cfg.node_budget like the probe
+        budgets, caps = [], []
+        for name in ("successive_minima", "covering_radius"):
+            real = getattr(stability, name)
+            monkeypatch.setattr(stability, name, lambda K, *a, real=real, **kw:
+                                budgets.append(kw.get("node_budget")) or real(K, *a, **kw))
+
+        class Recorded(enumeration._Budget):
+            def __init__(self, cap, *rest):
+                caps.append(cap)
+                super().__init__(cap, *rest)
+
+        monkeypatch.setattr(enumeration, "_Budget", Recorded)
+        degenerate_family(1, [10], cfg=replace(FAST, node_budget=123_457))
+        assert budgets == [123_457] * 3
+        assert set(caps) == {123_457}
 
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):
