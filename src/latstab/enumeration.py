@@ -292,10 +292,10 @@ def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
 
 @per_lattice
 def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
-    """Vertices of the Voronoi cell of the origin (ambient coordinates), the
-    exact squared covering radius, the witness vertex, and the vertices again
-    as coordinates X / q in L's basis, pairs (X, q) in lowest terms. Kept on
-    L, so every probe level and covering radius of one run shares one cell."""
+    """Vertices of the Voronoi cell of the origin as coordinates X / q in L's
+    basis, pairs (X, q) in lowest terms, the exact squared covering radius,
+    and the witness vertex in ambient coordinates. Kept on L, so every probe
+    level and covering radius of one run shares one cell."""
     m = L.rank
     if m > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
@@ -330,11 +330,11 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
             cell = [(xi, tight | {(c, s)} if gv == 0 else tight, d)
                     for (xi, tight, d), gv in zip(cell, g) if gv <= 0] + new
     verts = sorted(v[0] for v in cell)
-    verts_ambient = tuple(linalg.vec_mat(xi, L.basis) for xi in verts)
+    norms = [linalg.dot(xi, linalg.mat_vec(G, xi)) for xi in verts]
     # deepest hole: the longest vertex, ties to the greatest ambient vector
-    best_sq, witness = max((linalg.dot(xi, linalg.mat_vec(G, xi)), v)
-                           for xi, v in zip(verts, verts_ambient))
-    return verts_ambient, best_sq, witness, tuple(map(_scaled, verts))
+    best_sq = max(norms)
+    witness = max(linalg.vec_mat(xi, L.basis) for xi, nsq in zip(verts, norms) if nsq == best_sq)
+    return tuple(map(_scaled, verts)), best_sq, witness
 
 
 def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: int = 16,

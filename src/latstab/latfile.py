@@ -1,8 +1,8 @@
 """Plain-text lattice format: a header line "n m", then m basis rows.
 
-Rows hold n whitespace-separated rationals written as "p/q" or "p" (no
-other syntax is accepted). A '#' starts a comment that runs to the end of
-the line; blank lines are ignored. Serialization round-trips exactly.
+Rows hold n whitespace-separated rationals, "p/q" or "p" in the ASCII digits
+0-9 (no other syntax is accepted). A '#' starts a comment that runs to the
+end of the line; blank lines are ignored. Serialization round-trips exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .errors import ParseError
 from .lattice import Lattice
 from .linalg import Vec
 
-_RATIONAL = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 def parse_rational(token: str, line: int | None = None, column: int | None = None) -> Fraction:
@@ -40,7 +40,7 @@ def parse_lattice_text(text: str) -> Lattice:
     if len(stream) < 2:
         raise ParseError("missing 'n m' header")
     for line, col, tok in stream[:2]:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"header needs positive integers, got {tok!r}", line, col)
     n, m = int(stream[0][2]), int(stream[1][2])
     if n < 1 or m < 1 or m > n:

@@ -1,10 +1,9 @@
 """Basis reduction in exact rational arithmetic.
 
-LLL runs entirely over Fractions, so the size-reduction and exchange
-conditions are decided exactly and reducing an already reduced basis is a
-literal no-op. The Gram-Schmidt coefficients mu and squared norms gamma are
-computed once and then updated exactly and incrementally at each
-size-reduction step and swap, never recomputed. Minkowski reduction is the
+LLL decides its size-reduction and exchange conditions exactly, so
+reducing an already reduced basis is a literal no-op. It acts on the
+unimodular transform alone, with the Gram-Schmidt data updated in place,
+and forms the reduced rows once, in integers. Minkowski reduction is the
 greedy scheme: each step takes a shortest lattice vector that keeps the
 chosen prefix extendable to a basis. It is exact but enumerative, hence
 capped at rank 4, where one listing holds every row.
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import CertificationFailed, NotInLattice, NotPrimitive, RankTooLarge
@@ -38,17 +38,16 @@ class ReducedBasis:
 
 def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], ...],
                                                    tuple[Fraction, ...], Mat]:
-    """LLL-reduce rows. Returns the reduced rows, the unimodular coordinate
-    rows U with reduced = U * original, and the squared Gram-Schmidt norms
-    gamma and coefficients mu of the reduced rows.
+    """LLL-reduce rows. Returns the reduced rows, formed once at the end as
+    U * original in integers, the unimodular coordinate rows U, and the
+    squared Gram-Schmidt norms gamma and coefficients mu of the reduced rows.
 
-    Gram-Schmidt is computed once; size reduction and swaps then update mu
-    and gamma exactly in place (Cohen, Alg. 2.6.3), so every rounding and
-    exchange decision sees the values a full recomputation would give."""
+    Gram-Schmidt is computed once; size reduction and swaps then update only
+    U, mu and gamma, exactly and in place (Cohen, Alg. 2.6.3), so every
+    rounding and exchange decision sees what a full recomputation would give."""
     m = len(rows)
-    b = list(rows)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    bstar, mu0 = linalg.gram_schmidt(tuple(b))
+    bstar, mu0 = linalg.gram_schmidt(rows)
     gamma = [linalg.norm_sq(w) for w in bstar]
     mu = [list(r) for r in mu0]
     k = 1
@@ -57,7 +56,6 @@ def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], .
         for j in range(k - 1, -1, -1):
             q = round(mk[j])
             if q:
-                b[k] = linalg.vsub(b[k], linalg.vscale(q, b[j]))
                 U[k] = [a - q * c for a, c in zip(U[k], U[j])]
                 mj = mu[j]
                 for i in range(j):
@@ -72,7 +70,6 @@ def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], .
         v = u * gamma[k - 1] / big
         gamma[k] = gamma[k - 1] * gamma[k] / big
         gamma[k - 1] = big
-        b[k], b[k - 1] = b[k - 1], b[k]
         U[k], U[k - 1] = U[k - 1], U[k]
         mk[:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mk[:k - 1]
         mk[k - 1] = v
@@ -81,7 +78,9 @@ def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], .
             mu[i][k] = mu[i][k - 1] - u * t
             mu[i][k - 1] = t + v * mu[i][k]
         k = max(k - 1, 1)
-    return tuple(b), tuple(tuple(r) for r in U), tuple(gamma), tuple(tuple(r) for r in mu)
+    Bz, D = linalg.clear_denominators(rows)
+    reduced = tuple(tuple(Fraction(sum(map(mul, c, col)), D) for col in zip(*Bz)) for c in U)
+    return reduced, tuple(map(tuple, U)), tuple(gamma), tuple(tuple(r) for r in mu)
 
 
 def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis:

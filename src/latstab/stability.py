@@ -72,21 +72,23 @@ def check_hypothesis(L: Lattice, x, delta, radius_sq,
     """Does every lattice vector u with norm_sq <= radius_sq have u.x within
     delta of an integer? Exhaustive and exact; one representative per +-pair
     (the distance is sign-invariant)."""
-    x = as_vec(x)
     delta = linalg.as_rational(delta)
     radius_sq = linalg.as_rational(radius_sq)
     if not 0 <= delta < HALF:
         raise ValueError(f"delta must be in [0, 1/2), got {delta}")
-    Bx = dual_coordinates(L, x)  # NotInSpan outside span(L); u = c B gives u.x = c.Bx
-    violations = []
+    Bx = dual_coordinates(L, x)  # NotInSpan outside span(L)
     reps = list_vectors(L, radius_sq, node_budget=node_budget).vectors
-    for coords, _ in reps:
-        s = linalg.dot(as_vec(coords), Bx)
-        d = dist_to_integers(s)
-        if d > delta:
-            violations.append(Violation(coords=coords, inner_product=s, dist_to_int=d))
+    violations = _violations([c for c, _ in reps], Bx, delta)
     return HypothesisReport(delta=delta, radius_sq=radius_sq, holds=not violations,
-                            checked_count=len(reps), violations=tuple(violations))
+                            checked_count=len(reps), violations=violations)
+
+
+def _violations(C, Bx: Vec, delta: Fraction) -> tuple[Violation, ...]:
+    """The rows c of C whose s = c.Bx, that is u.x for u = c B, lies farther
+    than delta from every integer: the hypothesis, in plain Fractions."""
+    products = ((c, sum(map(mul, c, Bx))) for c in C)
+    return tuple(Violation(coords=c, inner_product=s, dist_to_int=dist_to_integers(s))
+                 for c, s in products if dist_to_integers(s) > delta)
 
 
 def round_in_dual_coordinates(L: Lattice, x) -> NearResult:
@@ -357,7 +359,6 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     order of the starts does not matter.
     """
     Ld, m = dual(L), L.rank
-    U = [linalg.vec_mat(as_vec(c), L.basis) for c in C]
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
 
@@ -445,7 +446,7 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
 
     starts: list = []
     if m <= MINKOWSKI_MAX_RANK:
-        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[3]
+        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
         masks = range(1, 2**m)
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]
@@ -460,8 +461,8 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
             if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
                 best_f, best_p = got
         w = ambient(best_p)
-        # certified independently of the integer slab tests, in plain Fractions
-        if not all(dist_to_integers(linalg.dot(u, w)) <= delta for u in U[:k]):
+        # certified independently of the integer slab tests: u.w = c.(B w)
+        if _violations(C[:k], linalg.mat_vec(L.basis, w), delta):
             raise CertificationFailed(f"the probe witness violates the hypothesis at "
                                       f"radius^2 {radius_sq}")
         starts.append(best_p)
@@ -578,13 +579,12 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
     spacing 1/d collapses, showing how degenerating minima stress the
     stability radius. Reports minima of both sides, the exact dual covering
     radius, and a stability probe per member."""
-    c = linalg.as_rational(c)
+    c, ds = linalg.as_rational(c), [linalg.as_rational(d) for d in d_values]
+    if c <= 0 or any(d <= 0 for d in ds):
+        raise ValueError("family scales must be positive")
     cfg = cfg or ProbeConfig()
     out = []
-    for d in d_values:
-        d = linalg.as_rational(d)
-        if c <= 0 or d <= 0:
-            raise ValueError("family scales must be positive")
+    for d in ds:
         L = Lattice(as_mat([[c, 0], [0, d]]))
         probe = stability_radius(L, delta, epsilon_sq, cfg)
         out.append(FamilyDiagnostics(

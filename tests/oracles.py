@@ -324,9 +324,9 @@ def _is_voronoi_relevant(L: Lattice, coords, node_budget: int) -> bool:
 def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
     """The Voronoi cell as first built: one nearest-point search per listed
     vector to decide its relevance, then one solve per m-subset of the 2R
-    signed half-spaces. Returns (ambient vertices, mu^2, deepest hole, the
-    vertices' coordinates as pairs (X, q) in lowest terms) with the same
-    order and tie-break as enumeration._voronoi_vertex_data."""
+    signed half-spaces. Returns (the vertices' coordinates as pairs (X, q)
+    in lowest terms, mu^2, deepest hole) with the same order and tie-break
+    as enumeration._voronoi_vertex_data."""
     m = L.rank
     G = L.gram_matrix
     mins = successive_minima(L, node_budget=node_budget)
@@ -347,13 +347,18 @@ def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
             continue
         if all(linalg.dot(xi, a) <= h for a, h in constraints):
             vertices.add(xi)
-    best_sq, witness, ambient = Fraction(-1), (), []
+    best_sq, witness = Fraction(-1), ()
     for xi in sorted(vertices):
         vsq = linalg.dot(xi, linalg.mat_vec(G, xi))
-        ambient.append(linalg.vec_mat(xi, L.basis))
-        if vsq > best_sq or (vsq == best_sq and (not witness or ambient[-1] > witness)):
-            best_sq, witness = vsq, ambient[-1]
-    return tuple(ambient), best_sq, witness, tuple(linalg._scaled(xi) for xi in sorted(vertices))
+        x = linalg.vec_mat(xi, L.basis)
+        if vsq > best_sq or (vsq == best_sq and (not witness or x > witness)):
+            best_sq, witness = vsq, x
+    return tuple(linalg._scaled(xi) for xi in sorted(vertices)), best_sq, witness
+
+
+def cell_vertices(L: Lattice, pairs) -> tuple[Vec, ...]:
+    """The ambient vertices x = (X / q) B of a cell given as pairs (X, q)."""
+    return tuple(linalg.vec_mat(tuple(Fraction(a, q) for a in X), L.basis) for X, q in pairs)
 
 
 def reference_lll_rows(rows, delta):
@@ -500,7 +505,7 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
 
     starts: list[Vec] = [linalg.zeros(n)]
     if m <= MINKOWSKI_MAX_RANK:
-        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
+        starts += cell_vertices(Ld, _voronoi_vertex_data(Ld, cfg.node_budget)[0])
         masks = range(1, 2**m)
     else:
         masks = [1 << i for i in range(m)] + [2**m - 1]

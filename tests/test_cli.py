@@ -213,6 +213,38 @@ class TestExitCodes:
         assert code == 2
         assert "rational token" in err
 
+    @pytest.mark.parametrize("text, err", [
+        ("", "error: missing 'n m' header\n"),
+        ("2 x\n1 0\n0 1\n", "error: header needs positive integers, got 'x' at line 1, column 3\n"),
+        ("\u00b2 2\n1 0\n0 1\n",
+         "error: header needs positive integers, got '\u00b2' at line 1, column 1\n"),
+        ("2 2\n1 0\n0 \u0663\n", "error: not a rational token: '\u0663' at line 3, column 3\n"),
+    ])
+    def test_lattice_file_errors(self, run, tmp_path, text, err):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run("dual", str(path)) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("-x", "\u0663 0", "--delta", "1/4", "--r2", "1"),
+        ("-x", "0 1/1\u0663", "--delta", "1/4", "--r2", "1"),
+        ("-x", "0 0", "--delta", "\u0661/4", "--r2", "1"),
+        ("-x", "0 0", "--delta", "1/4", "--r2", "\uff11"),
+    ])
+    def test_non_ascii_digits(self, run, mixed_file, argv):
+        code, out, err = run("hypothesis", mixed_file, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "not a rational token" in err
+
+    def test_linear_dependent_rows(self, run):
+        code, out, err = run("linear-almost-near", "--matrix", "1 1; 2 2", "-b", "1 2",
+                             "-x", "0 0")
+        assert (code, out, err) == (2, "", "error: the system matrix must have independent rows\n")
+
+    def test_gen_entry_bound(self, run):
+        code, out, err = run("gen", "--seed", "7", "--n", "2", "--m", "2", "--entry-bound", "0")
+        assert (code, out, err) == (2, "", "error: entry_bound must be at least 1\n")
+
     def test_budget_exhaustion(self, run, mixed_file, monkeypatch):
         monkeypatch.setenv("LATSTAB_NODE_BUDGET", "3")
         code, _, err = run("minima", mixed_file)

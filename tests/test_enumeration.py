@@ -25,7 +25,7 @@ from latstab.enumeration import DEFAULT_NODE_BUDGET, ShortVectorList, _Budget, _
 from latstab.latfile import parse_lattice_file
 from latstab.generate import random_lattice
 from conftest import seeded_lattices
-from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors,
+from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors, cell_vertices,
                      reference_closest_vector, reference_se_scan, reference_voronoi_vertex_data)
 
 
@@ -290,9 +290,9 @@ class TestCoveringRadius:
         assert closest_vector(skew2, got.witness).dist_sq == got.lower_sq
 
     def test_wrong_witness_rejected(self, z2, monkeypatch):
-        verts, mu_sq, _, coords = enumeration._voronoi_vertex_data(z2, 10_000)
+        xis, mu_sq, _ = enumeration._voronoi_vertex_data(z2, 10_000)
         monkeypatch.setattr(enumeration, "_voronoi_vertex_data",
-                            lambda L, budget: (verts, mu_sq, (F(1, 2), F(1, 4)), coords))
+                            lambda L, budget: (xis, mu_sq, (F(1, 2), F(1, 4))))
         with pytest.raises(CertificationFailed):
             covering_radius(z2)
 
@@ -338,7 +338,8 @@ class TestCoveringRadius:
         monkeypatch.setattr(linalg, "solve_matrix",
                             lambda M, R: solves.append(M) or solve_matrix(M, R))
         L = Lattice(linalg.as_mat(rows))
-        verts, got_sq, witness, _ = enumeration._voronoi_vertex_data(L, 10_000)
+        xis, got_sq, witness = enumeration._voronoi_vertex_data(L, 10_000)
+        verts = cell_vertices(L, xis)
         assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
         assert witness in verts
         assert len(solves) == 1
@@ -383,7 +384,8 @@ class TestCoveringRadius:
         L = parse_lattice_file(Path(__file__).parent / "golden" / "r4.txt")
         for K, count, mu_sq in ((L, 104, F(10559, 441)),
                                 (dual(L), 120, F(66772529, 1152216576))):
-            verts, got_sq, witness, _ = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
+            xis, got_sq, witness = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
+            verts = cell_vertices(K, xis)
             assert (len(verts), got_sq, linalg.norm_sq(witness)) == (count, mu_sq, mu_sq)
             assert all(closest_vector(K, x).dist_sq == linalg.norm_sq(x) for x in verts)
             assert covering_radius(K).lower_sq == mu_sq

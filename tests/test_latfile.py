@@ -22,7 +22,10 @@ class TestRationalTokens:
         assert parse_rational("2/4") == F(1, 2)
         assert parse_rational("-7/2") == F(-7, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "1/-2", "--3", "1 /2", ""])
+    # the last five are digits of other scripts or a superscript, which \d
+    # or int() would read: only 0-9 are digits here
+    @pytest.mark.parametrize("bad", ["1.5", "a", "1/0", "1/-2", "--3", "1 /2", "",
+                                     "\u0663", "1/1\u0663", "\u0661/4", "-\uff13", "\u00b2"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
@@ -35,6 +38,11 @@ class TestVector:
     def test_bad_token_position(self):
         with pytest.raises(ParseError):
             parse_vector("1 x 3")
+
+    def test_non_ascii_digit_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_vector("1 1/1\u0663")
+        assert (err.value.line, err.value.column) == (1, 3)
 
 
 class TestLatticeText:
@@ -52,6 +60,22 @@ class TestLatticeText:
     def test_rank_cannot_exceed_dimension(self):
         with pytest.raises(ParseError):
             parse_lattice_text("1 2\n1\n1\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "3\n"])
+    def test_missing_header(self, text):
+        with pytest.raises(ParseError, match="missing 'n m' header"):
+            parse_lattice_text(text)
+
+    @pytest.mark.parametrize("text, column", [
+        ("2 x\n1 0\n0 1\n", 3),
+        ("\u00b2 1\n1 0\n", 1),  # passes str.isdigit, which int() then refuses
+        ("2 \u0662\n1 0\n0 1\n", 3),
+    ])
+    def test_header_needs_ascii_integers(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_lattice_text(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert "header needs positive integers" in str(err.value)
 
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:

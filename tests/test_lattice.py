@@ -95,6 +95,9 @@ class TestEquality:
     def test_sublattice_differs(self, z2):
         assert not equal_lattices(z2, Lattice(((F(2), F(0)), (F(0), F(1)))))
 
+    def test_different_ambient_dimensions_differ(self):
+        assert not equal_lattices(Lattice(((F(1), F(0)),)), Lattice(((F(1),),)))
+
     def test_rational_scaling(self):
         a = Lattice(((F(1, 3),),))
         b = Lattice(((F(2, 6),),))
@@ -119,6 +122,15 @@ class TestConstruction:
         L = Lattice.from_generators(((1, 1), (2, 2), (0, 3)))
         assert L.rank == 2
         assert L.basis == ((F(1), F(1)), (F(0), F(3)))
+
+    @pytest.mark.parametrize("rows", [(), ((),)])
+    def test_empty_basis_rejected(self, rows):
+        with pytest.raises(ValueError, match="at least one nonzero basis row"):
+            Lattice(rows)
+
+    def test_from_generators_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="zero lattice"):
+            Lattice.from_generators([[0, 0]])
 
     def test_from_generators_rational(self):
         L = Lattice.from_generators(((F(1, 2), 0), (F(1, 3), 0)))

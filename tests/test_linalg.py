@@ -82,6 +82,10 @@ class TestProjection:
         c = linalg.rowspace_coefficients(B, x)
         assert c == (3, 2)
 
+    def test_onto_dependent_rows(self):
+        with pytest.raises(DependentRows):
+            linalg.project_onto_rowspace(M((1, 2), (2, 4)), linalg.as_vec((1, 0)))
+
     def test_coefficients_off_span(self):
         assert linalg.rowspace_coefficients(M((1, 0)), linalg.as_vec((0, 1))) is None
 

@@ -468,6 +468,43 @@ def test_integer_slab_test_matches_fraction(cxi, delta):
     assert bool(got) == (dist_to_integers(linalg.dot(c, xi)) > delta)
 
 
+@st.composite
+def slab_cases(draw):
+    """Distinct integer rows C, a point X / q and delta = dn / dd < 1/3; when
+    the first row has an entry +-1, the point may lie exactly on a face
+    k +- delta of that row's slab."""
+    m = draw(st.integers(1, 3))
+    C = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * m), min_size=1, max_size=6, unique=True))
+    dd = draw(st.integers(1, 24))
+    dn = draw(st.integers(0, (dd - 1) // 3))
+    X = draw(st.lists(st.integers(-60, 60), min_size=m, max_size=m))
+    q = draw(st.integers(1, 40))
+    j = next((j for j, a in enumerate(C[0]) if a in (1, -1)), None)
+    on_face = j is not None and draw(st.booleans())
+    if on_face:
+        # solve C[0].X = (k dd +- dn) r for X[j] at q = dd r
+        k, s, r = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1))), draw(st.integers(1, 5))
+        q, X[j] = dd * r, 0
+        X[j] = C[0][j] * ((k * dd + s * dn) * r - sum(a * b for a, b in zip(C[0], X)))
+    return C, tuple(X), q, F(dn, dd), on_face
+
+
+@given(slab_cases())
+def test_integer_slab_test_flags_the_hypothesis_violations(case):
+    """_violated, the probe's slab test on N = c.X, picks exactly the rows
+    that _violations, the hypothesis in plain Fractions, reports; a point on
+    a face k +- delta is feasible for that row."""
+    C, X, q, delta, on_face = case
+    Ns = [sum(a * b for a, b in zip(c, X)) for c in C]
+    Bx = tuple(F(a, q) for a in X)
+    if on_face:
+        assert dist_to_integers(Ns[0] / F(q)) == delta
+    flagged = {v.coords for v in stability._violations(C, Bx, delta)}
+    got = _violated(Ns, q, delta.numerator, delta.denominator)
+    assert got == [i for i, c in enumerate(C) if c in flagged]
+    assert not (on_face and 0 in got)
+
+
 class TestStabilityRadius:
     def test_line_frozen_curve(self, z1):
         probe = stability_radius(z1, F(1, 4), F(1, 100), FAST)
@@ -585,6 +622,17 @@ class TestStabilityRadius:
 
 
 class TestDegenerateFamily:
+    @pytest.mark.parametrize("c", [0, -1, F(-1, 2)])
+    def test_nonpositive_c_rejected_without_members(self, c):
+        with pytest.raises(ValueError, match="family scales must be positive"):
+            degenerate_family(c, [])
+
+    def test_scales_checked_before_any_member(self, monkeypatch):
+        monkeypatch.setattr(stability, "stability_radius",
+                            lambda *a, **kw: pytest.fail("a member was computed"))
+        with pytest.raises(ValueError, match="family scales must be positive"):
+            degenerate_family(1, [10, 0])
+
     def test_flattening_dual_direction(self):
         fam = degenerate_family(1, [10], cfg=FAST)[0]
         assert fam.minima_sq == (1, 100)
