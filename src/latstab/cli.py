@@ -110,14 +110,13 @@ def _parse_scales(text: str) -> list[Fraction]:
     return scales
 
 
-def _count(least: int):
-    """Parser of an integer of at least `least`."""
+def _count(least: int | None):
+    """Parser of an ASCII decimal integer of at least `least` (None: any)."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ParseError(f"must be an integer, got {text!r}") from None
-        if value < least:
+        if not re.match(r"[+-]?[0-9]+\Z", text):
+            raise ParseError(f"must be an integer, got {text!r}")
+        value = int(text)
+        if least is not None and value < least:
             raise ParseError(f"must be at least {least}, got {value}")
         return value
     return parse
@@ -125,6 +124,7 @@ def _count(least: int):
 
 _rational = _arg(parse_rational)
 _vector = _arg(parse_vector)
+_integer = _arg(_count(None))
 _positive = _arg(_count(1))
 _nonnegative = _arg(_count(0))
 
@@ -329,7 +329,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
             p.add_argument("--node-budget", type=_positive, default=default_budget,
                            help="enumeration node cap (env LATSTAB_NODE_BUDGET)")
         if seeded:
-            p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+            p.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
         if "max_iters" in budgets:
             p.add_argument("--restarts", type=_nonnegative, default=32, help="probe restarts")
             p.add_argument("--iters", dest="max_iters", type=_positive, default=200,
@@ -414,9 +414,9 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p = add("gen", "seeded random integer basis", _cmd_gen,
             inputs=("n", "m", "entry_bound", "min_lambda1_sq"), budgets=(), lattice=False,
             seeded=True)
-    p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--m", type=int, required=True, help="rank")
-    p.add_argument("--entry-bound", type=int, default=9)
+    p.add_argument("--n", type=_integer, required=True, help="ambient dimension")
+    p.add_argument("--m", type=_integer, required=True, help="rank")
+    p.add_argument("--entry-bound", type=_integer, default=9)
     p.add_argument("--min-l1sq", dest="min_lambda1_sq", type=_rational, default=None,
                    help="rescale until the shortest vector squared reaches this")
     p.add_argument("-o", "--out", default=None, help="also write a lattice file")

@@ -23,7 +23,7 @@ from operator import mul
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge
 from .lattice import Lattice, per_lattice
-from .linalg import Mat, Vec, _round_half_even, _scaled, as_mat, as_vec
+from .linalg import Mat, Vec, _lowest, _round_half_even, _scaled, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, MINKOWSKI_MAX_RANK, _lll_rows
 from .rng import SplitMix64
 
@@ -300,41 +300,43 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
     if m > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
     G = L.gram_matrix
-    # Double description (Motzkin et al. 1953) in coordinates xi, x = xi B: a listed c
-    # gives the faces (c, s): s a . xi <= h, a = G c, h = c G c^T / 2, s = +-1. The
-    # successive minima's faces bound a parallelepiped that holds the cell, and every
-    # relevant vector lies within 2 mu (Voronoi 1908), so the listing cuts it down. An
-    # outside p and an inside q span an edge iff no third vertex is tight on every face
-    # both are tight on (Fukuda-Prodon 1996); each vertex keeps its tight faces.
+    Gz, D = linalg.clear_denominators(G)
+    # Double description (Motzkin et al. 1953) on vertices xi = X / q, x = xi B: a listed
+    # c gives the faces s 2 A . X <= h q, A = c Gz, h = A . c, s = +-1, tagged (c, s). The
+    # minima's faces bound a parallelepiped holding the cell, and every relevant vector lies
+    # within 2 mu (Voronoi 1908), so the listing cuts it down. Outside p and inside r span an
+    # edge iff no third vertex is tight on every face both are on (Fukuda-Prodon 1996). The cell
+    # stays symmetric under xi -> -xi: (c, 1) alone cuts, and (c, -1) mirrors the new vertices.
     mins = successive_minima(L, node_budget=node_budget)
     signs = tuple(product((1, -1), repeat=m))
     rhs = tuple(tuple(s[i] * h / 2 for s in signs) for i, h in enumerate(mins.minima_sq))
     X = linalg.solve_matrix(linalg.mat_mul(as_mat(mins.achieving_vectors), G), rhs)
-    cell = [(xi, frozenset(zip(mins.achieving_vectors, s)), None)
+    cell = [(*_scaled(xi), frozenset(zip(mins.achieving_vectors, s)))
             for xi, s in zip(zip(*X), signs)]
     mu_ub_sq = _covering_upper_sq(L, node_budget)
-    for c, nsq in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
-        a, h = linalg.mat_vec(G, as_vec(c)), nsq / 2
-        cell = [(xi, tight, linalg.dot(xi, a)) for xi, tight, _ in cell]
-        for s in (1, -1):
-            g = [s * d - h for _, _, d in cell]
-            outer = [(p, gp) for p, gp in zip(cell, g) if gp > 0]
-            inner = [(q, gq) for q, gq in zip(cell, g) if gq < 0]
-            new = []
-            for (p, gp), (q, gq) in product(outer, inner):
-                common = p[1] & q[1]
-                if not any(common <= r[1] for r in cell if r is not p and r is not q):
-                    t = gp / (gp - gq)
-                    xi = tuple(x + t * (y - x) for x, y in zip(p[0], q[0]))
-                    new.append((xi, common | {(c, s)}, s * h))
-            cell = [(xi, tight | {(c, s)} if gv == 0 else tight, d)
-                    for (xi, tight, d), gv in zip(cell, g) if gv <= 0] + new
-    verts = sorted(v[0] for v in cell)
-    norms = [linalg.dot(xi, linalg.mat_vec(G, xi)) for xi in verts]
+    for c, _ in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
+        A = [sum(map(mul, c, row)) for row in Gz]
+        h = sum(map(mul, A, c))
+        vals = [(2 * sum(map(mul, A, X)), h * q) for X, q, _ in cell]
+        outer = [(p, ax - hq) for p, (ax, hq) in zip(cell, vals) if ax > hq]
+        inner = [(r, ax - hq) for r, (ax, hq) in zip(cell, vals) if ax < hq]
+        new = []
+        for (p, gp), (r, gr) in product(outer, inner):
+            common = p[2] & r[2]
+            if not any(common <= v[2] for v in cell if v is not p and v is not r):
+                new.append((*_lowest([gp * y - gr * x for x, y in zip(p[0], r[0])],
+                                     gp * r[1] - gr * p[1]), common | {(c, 1)}))
+        cell = [(X, q, tight | {(c, 1)} if ax == hq else tight | {(c, -1)} if ax == -hq else tight)
+                for (X, q, tight), (ax, hq) in zip(cell, vals) if abs(ax) <= hq]
+        cell += new + [(tuple(-x for x in X), q, frozenset((b, -s) for b, s in tight))
+                       for X, q, tight in new]
+    verts = sorted((tuple(Fraction(a, q) for a in X), X, q) for X, q, _ in cell)
+    norms = [Fraction(sum(map(mul, X, (sum(map(mul, X, row)) for row in Gz))), D * q * q)
+             for _, X, q in verts]
     # deepest hole: the longest vertex, ties to the greatest ambient vector
     best_sq = max(norms)
-    witness = max(linalg.vec_mat(xi, L.basis) for xi, nsq in zip(verts, norms) if nsq == best_sq)
-    return tuple(map(_scaled, verts)), best_sq, witness
+    witness = max(linalg.vec_mat(v[0], L.basis) for v, nsq in zip(verts, norms) if nsq == best_sq)
+    return tuple((X, q) for _, X, q in verts), best_sq, witness
 
 
 def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: int = 16,

@@ -172,25 +172,28 @@ def solve(M: Mat, b: Vec) -> Vec:
     return tuple(r[0] for r in solve_matrix(M, tuple((a,) for a in b)))
 
 
-def gram_schmidt(B: Mat) -> tuple[Mat, Mat]:
-    """Orthogonalize rows: returns (B*, mu) with B = mu B* and mu unit lower triangular.
-
-    Raises DependentRows when some orthogonalized row vanishes.
-    """
-    bstar: list[Vec] = []
-    gamma: list[Fraction] = []
-    mu = [[Fraction(int(i == j)) for j in range(len(B))] for i in range(len(B))]
-    for i, b in enumerate(B):
-        w = b
-        for j in range(i):
-            mu[i][j] = dot(b, bstar[j]) / gamma[j]
-            w = vsub(w, vscale(mu[i][j], bstar[j]))
-        g = norm_sq(w)
-        if g == 0:
-            raise DependentRows(f"row {i} is in the span of the previous rows")
-        bstar.append(w)
-        gamma.append(g)
-    return tuple(bstar), tuple(tuple(r) for r in mu)
+def gram_schmidt(B: Mat) -> tuple[tuple[Fraction, ...], Mat]:
+    """(gamma, mu): the squared norms gamma_k = |b*_k|^2 and the unit lower
+    triangular mu with B = mu B*, from the integer Gram matrix of Bz = D B by
+    the fraction-free recurrence (Cohen, Alg. 2.6.7), each division exact:
+    d_{k+1} is the Gram determinant of rows 0..k and lam_kj = d_{j+1} mu_kj.
+    Raises DependentRows when some orthogonalized row vanishes."""
+    Bz, D = clear_denominators(B)
+    d = [1]
+    lam = [[0] * len(Bz) for _ in Bz]
+    for k, lk in enumerate(lam):
+        for j in range(k + 1):
+            u = sum(a * b for a, b in zip(Bz[k], Bz[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lam[j][i]) // d[i]
+            lk[j] = u
+        if not lk[k]:
+            raise DependentRows(f"row {k} is in the span of the previous rows")
+        d.append(lk[k])
+    gamma = tuple(Fraction(b, a * D * D) for a, b in zip(d, d[1:]))
+    mu = tuple(tuple(Fraction(v, d[j + 1]) if j < k else Fraction(int(j == k))
+                     for j, v in enumerate(lk)) for k, lk in enumerate(lam))
+    return gamma, mu
 
 
 def project_onto_rowspace(B: Mat, x: Vec) -> Vec:

@@ -47,9 +47,8 @@ def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], .
     rounding and exchange decision sees what a full recomputation would give."""
     m = len(rows)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    bstar, mu0 = linalg.gram_schmidt(rows)
-    gamma = [linalg.norm_sq(w) for w in bstar]
-    mu = [list(r) for r in mu0]
+    gamma, mu = linalg.gram_schmidt(rows)
+    gamma, mu = list(gamma), [list(r) for r in mu]
     k = 1
     while k < m:
         mk = mu[k]

@@ -218,19 +218,19 @@ class TransferenceReport:
     covering_pair_factorial: IntervalCheck  # lambda_1(L)^2 mu(dual)^2 <= (m m!/2)^2
     dual_basis_bound: IntervalCheck         # mu(dual)^2 <= (m/2)^2 lambda_m(dual)^2
 
+    def _verdicts(self) -> set[str]:
+        return {c.verdict for c in (self.covering_pair, self.covering_pair_factorial,
+                                    self.dual_basis_bound)} | {
+            "satisfied" if c.within_rank_bound and c.within_factorial_bound else "violated"
+            for c in self.per_k}
+
     @property
     def any_violation(self) -> bool:
-        if any(not (c.within_rank_bound and c.within_factorial_bound) for c in self.per_k):
-            return True
-        return any(c.verdict == "violated" for c in
-                   (self.covering_pair, self.covering_pair_factorial, self.dual_basis_bound))
+        return "violated" in self._verdicts()
 
     @property
     def all_satisfied(self) -> bool:
-        if any(not (c.within_rank_bound and c.within_factorial_bound) for c in self.per_k):
-            return False
-        return all(c.verdict == "satisfied" for c in
-                   (self.covering_pair, self.covering_pair_factorial, self.dual_basis_bound))
+        return self._verdicts() == {"satisfied"}
 
 
 def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,

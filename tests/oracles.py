@@ -4,9 +4,9 @@ kernel, enumeration, LLL and the probe.
 Everything here trades speed for obviousness: coordinate boxes derived from
 the Cauchy-Schwarz bound |c_i| <= ||v|| ||w_i|| (w_i the dual rows) are
 scanned exhaustively, with no pruning and no recursion; the Fraction
-elimination, the Fraction Schnorr-Euchner scan, the CVP, the Minkowski
-reduction, the LLL and the probe are earlier, slower versions kept as exact
-references.
+elimination, the ambient Fraction Gram-Schmidt, the Fraction
+Schnorr-Euchner scan, the CVP, the Minkowski reduction, the LLL and the
+probe are earlier, slower versions kept as exact references.
 """
 
 from __future__ import annotations
@@ -188,6 +188,25 @@ def reference_primitive_coords(C) -> bool:
     return g == 1
 
 
+def reference_gram_schmidt(B):
+    """Gram-Schmidt on the ambient rows in Fractions: (B*, mu) with B = mu B*
+    and mu unit lower triangular. Raises DependentRows when some
+    orthogonalized row vanishes."""
+    bstar, gamma = [], []
+    mu = [[Fraction(int(i == j)) for j in range(len(B))] for i in range(len(B))]
+    for i, b in enumerate(B):
+        w = b
+        for j in range(i):
+            mu[i][j] = linalg.dot(b, bstar[j]) / gamma[j]
+            w = linalg.vsub(w, linalg.vscale(mu[i][j], bstar[j]))
+        g = linalg.norm_sq(w)
+        if g == 0:
+            raise DependentRows(f"row {i} is in the span of the previous rows")
+        bstar.append(w)
+        gamma.append(g)
+    return tuple(bstar), tuple(tuple(r) for r in mu)
+
+
 def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """enumeration._se_scan as first written, in Fractions: the same nodes,
     ticks, visit order and ties, with every center and every partial sum a
@@ -196,7 +215,7 @@ def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Bud
     Gram-Schmidt of the working rows, independent of LLL's incremental updates."""
     T, q = scaled
     t = [Fraction(a, q) for a in T]
-    bstar, mu = linalg.gram_schmidt(prep.rows)
+    bstar, mu = reference_gram_schmidt(prep.rows)
     gamma = [linalg.norm_sq(b) for b in bstar]
     m = len(gamma)
     c = [0] * m
@@ -330,7 +349,7 @@ def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
     m = L.rank
     G = L.gram_matrix
     mins = successive_minima(L, node_budget=node_budget)
-    gamma = [linalg.norm_sq(b) for b in linalg.gram_schmidt(_prep(L).rows)[0]]
+    gamma = [linalg.norm_sq(b) for b in reference_gram_schmidt(_prep(L).rows)[0]]
     mu_ub_sq = min(Fraction(m * m, 4) * mins.minima_sq[-1], Fraction(1, 4) * sum(gamma))
     candidates = list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget)
     constraints = []
@@ -369,7 +388,7 @@ def reference_lll_rows(rows, delta):
     m = len(rows)
     b = list(rows)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    _, mu = linalg.gram_schmidt(tuple(b))
+    _, mu = reference_gram_schmidt(tuple(b))
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):
@@ -377,14 +396,14 @@ def reference_lll_rows(rows, delta):
             if q:
                 b[k] = linalg.vsub(b[k], linalg.vscale(q, b[j]))
                 U[k] = [a - q * c for a, c in zip(U[k], U[j])]
-                _, mu = linalg.gram_schmidt(tuple(b))
-        gamma = [linalg.norm_sq(w) for w in linalg.gram_schmidt(tuple(b))[0]]
+                _, mu = reference_gram_schmidt(tuple(b))
+        gamma = [linalg.norm_sq(w) for w in reference_gram_schmidt(tuple(b))[0]]
         if gamma[k] >= (delta - mu[k][k - 1] ** 2) * gamma[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             U[k], U[k - 1] = U[k - 1], U[k]
-            _, mu = linalg.gram_schmidt(tuple(b))
+            _, mu = reference_gram_schmidt(tuple(b))
             k = max(k - 1, 1)
     return tuple(b), tuple(tuple(r) for r in U)
 
@@ -392,7 +411,7 @@ def reference_lll_rows(rows, delta):
 def lll_violations(B, delta=Fraction(3, 4)):
     """Every failed textbook LLL condition of the rows B: |mu_ij| <= 1/2 for
     j < i, and Lovasz gamma_i >= (delta - mu_{i,i-1}^2) gamma_{i-1}."""
-    bstar, mu = linalg.gram_schmidt(B)
+    bstar, mu = reference_gram_schmidt(B)
     gamma = [linalg.norm_sq(w) for w in bstar]
     bad = []
     for i in range(len(B)):

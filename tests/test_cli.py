@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -200,6 +201,17 @@ class TestExitCodes:
         code, _, _ = run("transference", mixed_file)
         assert code == 0
 
+    def test_transference_violation_exits_1(self, run, mixed_file, monkeypatch):
+        """mixed.txt and its dual both have the minima 1/4, 4; with 400 in
+        place of 4, every pair of minima exceeds its bound."""
+        from latstab import stability
+
+        monkeypatch.setattr(stability, "successive_minima", lambda K, node_budget:
+                            SimpleNamespace(minima_sq=(F(1, 4), F(400))))
+        code, out, _ = run("transference", mixed_file)
+        assert code == 1
+        assert doc_of(out)["results"]["any_violation"] is True
+
     def test_missing_file(self, run):
         code, out, err = run("cvp", "/nonexistent/basis.txt", "-x", "1 2")
         assert code == 2
@@ -244,6 +256,13 @@ class TestExitCodes:
     def test_gen_entry_bound(self, run):
         code, out, err = run("gen", "--seed", "7", "--n", "2", "--m", "2", "--entry-bound", "0")
         assert (code, out, err) == (2, "", "error: entry_bound must be at least 1\n")
+
+    def test_gen_gives_up(self, run, monkeypatch):
+        from latstab import generate
+
+        monkeypatch.setattr(generate, "MAX_ATTEMPTS", 0)
+        code, out, err = run("gen", "--seed", "7", "--n", "2", "--m", "2")
+        assert (code, out, err) == (2, "", "error: no suitable basis after 0 attempts\n")
 
     def test_budget_exhaustion(self, run, mixed_file, monkeypatch):
         monkeypatch.setenv("LATSTAB_NODE_BUDGET", "3")
@@ -369,11 +388,35 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "at least" in err
 
+    @pytest.mark.parametrize("token", ["\u0662", "1_0", " 3"])
+    @pytest.mark.parametrize("budget_env, argv", [
+        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "T")),
+        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "T")),
+        (None, ("minima", "L", "--node-budget", "T")),
+        (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
+                "--max-levels", "T")),
+        ("T", ("minima", "L")),
+        (None, ("covering", "L", "--seed", "T")),
+        (None, ("gen", "--seed", "T", "--n", "2", "--m", "2")),
+        (None, ("gen", "--seed", "7", "--n", "T", "--m", "2")),
+        (None, ("gen", "--seed", "7", "--n", "2", "--m", "T")),
+        (None, ("gen", "--seed", "7", "--n", "2", "--m", "2", "--entry-bound", "T")),
+    ])
+    def test_counts_take_ascii_digits_only(self, run, mixed_file, monkeypatch, token,
+                                           budget_env, argv):
+        """int() would read each token as a number: a non-ASCII digit, an
+        underscore, a leading space."""
+        if budget_env is not None:
+            monkeypatch.setenv("LATSTAB_NODE_BUDGET", token)
+        code, out, err = run(*[mixed_file if a == "L" else token if a == "T" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "must be an integer" in err
+
 
 GOLDEN = Path(__file__).parent / "golden"
 RATIONALS = ["1/4", "1/5", "1/100", "4", "0", "-3", "0.25", "x", ""]
 VECTORS = ["1/3 0", "2/5 3/5", "1/2 1/5", "1 2 3", "1 a", ""]
-COUNTS = ["1", "3", "0", "-1", "x"]
+COUNTS = ["1", "3", "0", "-1", "x", "\u0662", "1_0", " 3"]
 MIXED = str(GOLDEN / "mixed.txt")
 LATTICES = [MIXED, MIXED, str(GOLDEN / "g732.txt"), str(GOLDEN / "missing.txt"), str(GOLDEN),
             os.path.join(MIXED, "x"), None]

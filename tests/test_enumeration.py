@@ -173,7 +173,7 @@ class TestIntegerScan:
         want = _scan_trace(reference_se_scan, prep, t, start, 200_000, shrink=True)
         assert _scan_trace(_se_scan, prep, t, start, 200_000, shrink=True) == want
         # closest_vector starts from the nearest-plane bound sum(gamma) / 4
-        plane_sq = sum(linalg.norm_sq(b) for b in linalg.gram_schmidt(prep.rows)[0]) / 4
+        plane_sq = sum(linalg.gram_schmidt(prep.rows)[0]) / 4
         with pytest.raises(BudgetExceeded) as err:
             closest_vector(L, linalg.vec_mat(t, prep.rows), node_budget=0)
         assert str(err.value) == (f"closest_vector at rank {L.rank}, radius^2 {plane_sq} "
@@ -360,6 +360,17 @@ class TestCoveringRadius:
             for K in (L, dual(L)):
                 got = enumeration._voronoi_vertex_data(K, 100_000)
                 assert got == reference_voronoi_vertex_data(K)
+
+    def test_cell_pairs_lowest_and_symmetric(self):
+        """Every vertex is a pair (X, q) in lowest terms with q > 0, and the
+        vertex set is closed under negation, on both sides of each lattice."""
+        for m in (2, 3, 4):
+            for seed in range(3):
+                L = random_lattice(900 + seed, m + 1, m, entry_bound=4)
+                for K in (L, dual(L)):
+                    pairs = enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)[0]
+                    assert all(q > 0 and gcd(*X, q) == 1 for X, q in pairs)
+                    assert {(tuple(-a for a in X), q) for X, q in pairs} == set(pairs)
 
     @pytest.mark.parametrize("name, rows, count, mu_sq", [
         ("Z4", [[int(i == j) for j in range(4)] for i in range(4)], 16, F(1)),

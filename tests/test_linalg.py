@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from latstab import DependentRows, DimensionMismatch, SingularMatrix, equal_lattices, Lattice
 from latstab import linalg
-from oracles import (reference_det, reference_null_space, reference_rank,
-                     reference_rowspace_coefficients, reference_solve_matrix)
+from oracles import (reference_det, reference_gram_schmidt, reference_null_space,
+                     reference_rank, reference_rowspace_coefficients, reference_solve_matrix)
 
 
 def M(*rows):
@@ -44,31 +44,39 @@ class TestBasics:
 
 class TestGramSchmidt:
     def test_integer_shear(self):
-        ortho, mu = linalg.gram_schmidt(M((1, 0), (3, 1)))
-        assert ortho == M((1, 0), (0, 1))
-        assert mu[1][0] == 3
+        gamma, mu = linalg.gram_schmidt(M((1, 0), (3, 1)))
+        assert gamma == (1, 1)
+        assert mu == M((1, 0), (3, 1))
 
     def test_half_coefficient(self):
-        ortho, mu = linalg.gram_schmidt(M((2, 0), (1, 2)))
-        assert mu[1][0] == F(1, 2)
-        assert ortho[1] == (0, 2)
+        gamma, mu = linalg.gram_schmidt(M((2, 0), (1, 2)))
+        assert gamma == (4, 4)
+        assert mu == M((1, 0), (F(1, 2), 1))
 
     def test_dependent_rows(self):
         with pytest.raises(DependentRows):
             linalg.gram_schmidt(M((1, 1), (2, 2)))
+        with pytest.raises(DependentRows):
+            linalg.gram_schmidt(M((1, 0, 1), (0, 1, 0), (F(1, 2), F(3, 2), F(1, 2))))
 
-    @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-                    min_size=2, max_size=3))
+    @given(st.lists(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                             min_size=3, max_size=3), min_size=1, max_size=3))
     def test_reconstruction(self, rows):
+        """gamma and mu equal the ambient Fraction Gram-Schmidt's, whose
+        orthogonal rows rebuild B, and rebuild the Gram matrix: G = mu diag(gamma) mu^T."""
         B = linalg.as_mat(rows)
         if linalg.rank(B) != len(rows):
+            with pytest.raises(DependentRows):
+                linalg.gram_schmidt(B)
             return
-        ortho, mu = linalg.gram_schmidt(B)
-        rebuilt = linalg.mat_mul(mu, ortho)
-        assert rebuilt == B
-        for i in range(len(rows)):
-            for j in range(i):
-                assert linalg.dot(ortho[i], ortho[j]) == 0
+        gamma, mu = linalg.gram_schmidt(B)
+        bstar, mu_ref = reference_gram_schmidt(B)
+        assert linalg.mat_mul(mu_ref, bstar) == B
+        assert all(linalg.dot(bstar[i], bstar[j]) == 0 for i in range(len(B)) for j in range(i))
+        assert gamma == tuple(linalg.norm_sq(w) for w in bstar)
+        assert mu == mu_ref
+        scaled = tuple(tuple(g * a for g, a in zip(gamma, row)) for row in mu)
+        assert linalg.mat_mul(scaled, tuple(zip(*mu))) == linalg.gram(B)
 
 
 class TestProjection:

@@ -201,6 +201,22 @@ class TestTransference:
         assert rep.all_satisfied
         assert rep.mu_dual.lower_sq == F(29, 144)
 
+    def test_pair_out_of_bounds_is_a_violation(self, mixed2, monkeypatch):
+        """Each lattice's last minimum times 100 puts both pairs of minima past
+        m^2 while the three covering checks still hold."""
+        real = stability.successive_minima
+
+        def inflated(K, node_budget):
+            got = real(K, node_budget=node_budget)
+            return replace(got, minima_sq=(*got.minima_sq[:-1], 100 * got.minima_sq[-1]))
+
+        monkeypatch.setattr(stability, "successive_minima", inflated)
+        rep = transference_check(mixed2)
+        assert [c.within_rank_bound for c in rep.per_k] == [False, False]
+        assert {rep.covering_pair.verdict, rep.covering_pair_factorial.verdict,
+                rep.dual_basis_bound.verdict} == {"satisfied"}
+        assert rep.any_violation and not rep.all_satisfied
+
     def test_rank_five_uses_interval(self):
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         rep = transference_check(Lattice(rows))
