@@ -357,61 +357,93 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     Each level's answer starts at (0, origin), feasible and on the dual, so
     the probe never fails; ties go to the least ambient witness, so the
     order of the starts does not matter.
+
+    Two tables live for one sweep, not on L: each point's slab scan, resumed
+    over a level's new rows and kept with its repair step, and each searched
+    point's nearest dual point. So every step and search is made once.
     """
     Ld, m = dual(L), L.rank
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
+    cols = list(zip(*C)) or [()] * m
+    # per sweep: p -> [rows read, their c.X while none is violated (else None), echelon,
+    # chosen rows, their face targets, (rows the step was taken from, step)], and p -> _closest
+    scans: dict = {}
+    nearest: dict = {}
 
-    def products(X) -> list[int]:
-        """c.X for every constraint row c, one coordinate column at a time."""
-        Ns = map(X[0].__mul__, cols[0])
+    def products(X, lo: int, hi: int) -> list[int]:
+        """c.X for the constraint rows C[lo:hi], one coordinate column at a time."""
+        Ns = map(X[0].__mul__, cols[0][lo:hi])
         for a, col in zip(X[1:], cols[1:]):
-            Ns = map(add, Ns, map(a.__mul__, col))
+            Ns = map(add, Ns, map(a.__mul__, col[lo:hi]))
         return list(Ns)
 
-    def repair(X, q: int):
-        """A feasible point near X / q with its slab products, or None."""
-        for step in range(5):
-            Ns = products(X)
-            bad = _violated(Ns, q, dn, dd)
-            if not bad:
-                return (X, q), Ns
-            if step == 4:
-                return None
-            rows: list = []
-            targets: list[int] = []  # c_i.y = targets[i] / dd on the nearest slab face
-            echelon: list[tuple[int, list[int]]] = []  # (pivot, row) of the chosen rows
-            for i in bad:
+    def scan(p) -> list:
+        """p's slab scan resumed over the level's new rows, in blocks of 8, 16, ...,
+        until m independent violated rows are chosen: the rows chosen up to a level
+        start the choice at every later one, whose new rows come later in norm order."""
+        s = scans.setdefault(p, [0, [], [], [], [], None])
+        X, q = p
+        read, Ns, echelon, rows, targets, _ = s
+        size = 8
+        while read < k and len(rows) < m:
+            new = products(X, read, min(k, read + size))
+            for i in _violated(new, q, dn, dd):
                 if len(rows) == m:
                     break
-                v = C[i]
+                c = v = C[read + i]
                 for j, e in echelon:
                     if v[j]:
                         v = [e[j] * a - v[j] * b for a, b in zip(v, e)]
                 pivot = next((j for j, a in enumerate(v) if a), None)
                 if pivot is not None:
                     echelon.append((pivot, v))
-                    rows.append(C[i])
-                    k = linalg._round_half_even(Ns[i], q)
-                    targets.append(k * dd - dn if Ns[i] < k * q else k * dd + dn)
-            X, q = _slab_step(rows, targets, dd, Gz, X, q)
+                    rows.append(c)
+                    r = linalg._round_half_even(new[i], q)  # c.y = target / dd on the nearest face
+                    targets.append(r * dd - dn if new[i] < r * q else r * dd + dn)
+            if rows:
+                Ns = None
+            else:
+                Ns += new
+            read, size = read + len(new), 2 * size
+        s[:2] = read, Ns
+        return s
+
+    def repair(p):
+        """A feasible point near p with its slab products, or None. A step from fewer
+        than m rows is taken again once a later level's rows add to the choice."""
+        for step in range(5):
+            s = scan(p)
+            rows, targets, taken = s[3:]
+            if not rows:
+                return p, s[1]
+            if step == 4:
+                return None
+            if taken is None or taken[0] < len(rows):
+                s[5] = taken = len(rows), _slab_step(rows, targets, dd, Gz, *p)
+            p = taken[1]
+
+    def closest(p):
+        if p not in nearest:
+            nearest[p] = _closest(Ld, p, cfg.node_budget)
+        return nearest[p]
 
     def push(p, Ns: list[int], coords: tuple[int, ...]) -> list:
         """Candidate points farther from the nearest dual point coords,
-        staying inside the current branch slabs; Ns = products(X)."""
+        staying inside the current branch slabs; Ns = c.X over the level."""
         # with c.xi = N/q and c.d = A/q for d = xi - coords, the step to the
-        # face k +- delta is ((k dd +- dn) q - N dd) / (A dd)
+        # face r +- delta is ((r dd +- dn) q - N dd) / (A dd)
         X, q = p
-        d = [a - k * q for a, k in zip(X, coords)]
+        d = [a - c * q for a, c in zip(X, coords)]
         num = den = 0
-        for N, A in zip(Ns, products(d)):
+        for N, A in zip(Ns, products(d, 0, k)):
             if A == 0:
                 continue
-            k = linalg._round_half_even(N, q)
+            r = linalg._round_half_even(N, q)
             if A > 0:
-                a, b = (k * dd + dn) * q - N * dd, A
+                a, b = (r * dd + dn) * q - N * dd, A
             else:
-                a, b = N * dd - (k * dd - dn) * q, -A
+                a, b = N * dd - (r * dd - dn) * q, -A
             if not den or a * den < num * b:
                 num, den = a, b
         if not den:
@@ -425,20 +457,20 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         """Ascend from the repaired p0 to the farthest push candidate while it
         is farther than the current point: the distance rises at every step,
         so the last point is the best. It visits at most max_iters points."""
-        got = repair(*p0) if cfg.max_iters > 0 else None
+        got = repair(p0) if cfg.max_iters > 0 else None
         if got is None:
             return None
         p, Ns = got
-        near = _closest(Ld, p, cfg.node_budget)
+        near = closest(p)
         for _ in range(cfg.max_iters - 1):
             if not near[0]:
                 break
-            top = max(((_closest(Ld, c, cfg.node_budget), c) for c in push(p, Ns, near[1])),
+            top = max(((closest(c), c) for c in push(p, Ns, near[1])),
                       key=lambda t: t[0][0], default=(near, p))
             if top[0][0] <= near[0]:
                 break
             near, p = top
-            Ns = products(p[0])
+            Ns = products(p[0], 0, k)
         return near[0], p
 
     def ambient(p) -> Vec:
@@ -455,7 +487,6 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(cfg.restarts)]
 
     for radius_sq, k in levels:
-        cols = list(zip(*C[:k])) or [()] * m
         best_f, best_p = Fraction(0), ((0,) * m, 1)
         for got in filter(None, map(local_max, dict.fromkeys(starts))):
             if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
@@ -502,7 +533,9 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     by the top level, and estimated_r_sq is the least grid radius where it
     does. Reported values are monotone: each level is warm-started from the
     earlier witnesses and a final backward pass propagates any later, still
-    feasible witness to the smaller radii where it is feasible too.
+    feasible witness to the smaller radii where it is feasible too. The levels
+    run as one _probe_levels sweep, which makes each repair step and each
+    nearest-point search once for the whole grid.
     """
     cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)

@@ -336,6 +336,26 @@ class TestProbe:
         assert targets and len(set(targets)) == len(targets)
         assert ((0, 0), 1) not in targets
 
+    def test_one_step_and_one_search_per_point_and_sweep(self, monkeypatch):
+        # a point's slab scan resumes at the next level and its step is kept; a
+        # search is kept per target. Without the tables the sweep below makes
+        # 5 186 steps and 780 searches on the same arguments
+        calls = {"_slab_step": [], "_closest": []}
+
+        def counted(name):
+            real = getattr(stability, name)
+
+            def call(*args):
+                calls[name].append(repr(args))
+                return real(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(stability, name, counted(name))
+        degenerate_family(1, [10], cfg=ProbeConfig(seed=1))
+        assert [len(c) for c in calls.values()] == [427, 353]
+        assert all(len(set(c)) == len(c) for c in calls.values())
+
 
 class TestProbeMatchesFractionReference:
     """The integer slab tests and the incremental independence test in the
@@ -404,6 +424,11 @@ class TestProbeMatchesFractionReference:
         for seed, n, m in ((5, 2, 2), (2, 3, 2), (8, 3, 3)):
             L = random_lattice(seed, n, m, entry_bound=3)
             stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=4)
+        # on these, a repair step taken from fewer than m violated rows and kept
+        # after a later level's rows complete the choice goes wrong at some level
+        for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
+            stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta, F(1, 100),
+                             ProbeConfig(seed=0, restarts=4, max_iters=20), max_levels=12)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         stability_radius(Lattice(rows), F(1, 4), F(1, 4), FAST, max_levels=2)
         r4 = parse_lattice_file(GOLDEN / "r4.txt")
