@@ -3,11 +3,11 @@
 All searches walk a depth-first tree over Gram-Schmidt coordinates of an
 LLL-reduced working basis (Schnorr-Euchner ordering: candidates at each
 level leave the interval center outward, nearer side first). The scan runs
-on integers: the Gram-Schmidt data of each lattice is scaled once to
-integers (in the spirit of integral LLL: de Weger 1987; Cohen Alg. 2.6.7)
-and the target once by its common denominator q, so every bound test is an
-exact integer comparison at the common scale S q^2; no Fraction is built
-per node and floats never enter. A node budget caps the tree walk and
+on integers: the Gram-Schmidt data of each lattice comes from integral
+LLL (de Weger 1987; Cohen Alg. 2.6.7), reduced once to the least integers,
+and the target is scaled once by its common denominator q, so every bound
+test is an exact integer comparison at the common scale S q^2; no
+Fraction is built per node and floats never enter. A node budget caps the tree walk and
 raising BudgetExceeded is the only way a search gives up.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -87,10 +87,9 @@ class _Prep:
     rows: Mat                       # LLL-reduced working basis
     transform: tuple[tuple[int, ...], ...]  # working = transform * stored
     # the Gram-Schmidt coefficients mu and squared norms gamma of the rows in
-    # integers: e[i] is the lcm of the denominators of column i of mu,
-    # M[j][i] = mu[j][i] e[i] for i <= j, S the least common multiple of
-    # e[i]^2 den(gamma[i]) and w[i] = gamma[i] S / e[i]^2
-    e: tuple[int, ...]
+    # the least integers: e_i = M[i][i] is the lcm of the denominators of
+    # column i of mu, M[j][i] = mu[j][i] e_i for i <= j, S the least common
+    # multiple of e_i^2 den(gamma[i]) and w[i] = gamma[i] S / e_i^2
     M: tuple[tuple[int, ...], ...]
     S: int
     w: tuple[int, ...]
@@ -105,14 +104,14 @@ class _Prep:
 
 @per_lattice
 def _prep(L: Lattice) -> _Prep:
-    rows, U, gamma, mu = _lll_rows(L.basis, DEFAULT_DELTA)
-    m = len(rows)
-    e = tuple(lcm(*(mu[j][i].denominator for j in range(i + 1, m))) for i in range(m))
-    M = tuple(tuple(mu[j][i].numerator * (e[i] // mu[j][i].denominator) for i in range(j))
-              + (e[j],) for j in range(m))
-    S = lcm(*(ei * ei * g.denominator for ei, g in zip(e, gamma)))
-    w = tuple(g.numerator * (S // (ei * ei * g.denominator)) for ei, g in zip(e, gamma))
-    return _Prep(rows=rows, transform=U, e=e, M=M, S=S, w=w, plane_sq=sum(gamma) / 4)
+    rows, U, d, lam, D = _lll_rows(L.basis, DEFAULT_DELTA)
+    # mu[j][i] = lam[j][i] / d[i+1], so e_i = d[i+1] / g_i, g_i the gcd of lam's column i
+    g = [gcd(*col) for col in zip(*lam)]
+    M = tuple(tuple(a // gi for a, gi in zip(lj[:j + 1], g)) for j, lj in enumerate(lam))
+    gamma = [Fraction(b, a * D * D) for a, b in zip(d, d[1:])]
+    S = lcm(*(Mi[-1] ** 2 * gm.denominator for Mi, gm in zip(M, gamma)))
+    w = tuple(gm.numerator * (S // (Mi[-1] ** 2 * gm.denominator)) for Mi, gm in zip(M, gamma))
+    return _Prep(rows=rows, transform=U, M=M, S=S, w=w, plane_sq=sum(gamma) / 4)
 
 
 def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
@@ -121,12 +120,12 @@ def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Bud
     on_leaf; ties at the bound are still visited.
 
     The target comes scaled, t = (T, q) for the working coordinates T / q
-    with q > 0: center_i = Cn_i / (q e_i) for the integer
+    with q > 0: center_i = Cn_i / (q e_i), e_i = M[i][i], for the integer
     Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term times
     S q^2 is the integer (c_i q e_i - Cn_i)^2 w_i: an integer sum exceeds
     bound[0] S q^2 iff it exceeds its floor."""
-    e, M, w = prep.e, prep.M, prep.w
-    m = len(e)
+    M, w = prep.M, prep.w
+    m = len(M)
     T, q = t
     scale = prep.S * q * q
     lim = [bound[0].numerator * scale // bound[0].denominator]
@@ -141,8 +140,8 @@ def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Bud
             level(i - 1, partial + contrib)
 
     def level(i: int, partial: int):
-        qe, wi = q * e[i], w[i]
-        Cn = T[i] * e[i]
+        ei, wi = M[i][i], w[i]
+        qe, Cn = q * ei, T[i] * ei
         for j in range(i + 1, m):
             Cn += (T[j] - c[j] * q) * M[j][i]
         c0 = _round_half_even(Cn, qe)
@@ -233,7 +232,7 @@ def successive_minima(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> Suc
     achieving: list[tuple[int, ...]] = []
     # the basis rows are independent, so vectors are independent iff their coordinates are
     for coords, nsq in _minima_listing(L, node_budget).vectors:
-        if linalg.rank(as_mat(achieving + [coords])) > len(achieving):
+        if len(linalg._eliminate([*achieving, coords], L.rank)[0]) > len(achieving):
             minima.append(nsq)
             achieving.append(coords)
             if len(achieving) == L.rank:

@@ -172,12 +172,14 @@ def solve(M: Mat, b: Vec) -> Vec:
     return tuple(r[0] for r in solve_matrix(M, tuple((a,) for a in b)))
 
 
-def gram_schmidt(B: Mat) -> tuple[tuple[Fraction, ...], Mat]:
-    """(gamma, mu): the squared norms gamma_k = |b*_k|^2 and the unit lower
-    triangular mu with B = mu B*, from the integer Gram matrix of Bz = D B by
-    the fraction-free recurrence (Cohen, Alg. 2.6.7), each division exact:
-    d_{k+1} is the Gram determinant of rows 0..k and lam_kj = d_{j+1} mu_kj.
-    Raises DependentRows when some orthogonalized row vanishes."""
+def gram_schmidt(B: Mat) -> tuple[list[int], list[list[int]], int]:
+    """(d, lam, D): the Gram-Schmidt data of B in integers, from the integer
+    Gram matrix of Bz = D B, D the least integer clearing B's denominators,
+    by the fraction-free recurrence (Cohen, Alg. 2.6.7), each division exact.
+    d[0] = 1 and d[k+1] is the Gram determinant of rows 0..k of Bz;
+    lam[k][j] = d[j+1] mu_kj for j <= k, so lam[k][k] = d[k+1], and
+    gamma_k = |b*_k|^2 = d[k+1] / (d[k] D^2); LLL updates the fresh lists in
+    place. Raises DependentRows when some orthogonalized row vanishes."""
     Bz, D = clear_denominators(B)
     d = [1]
     lam = [[0] * len(Bz) for _ in Bz]
@@ -190,10 +192,7 @@ def gram_schmidt(B: Mat) -> tuple[tuple[Fraction, ...], Mat]:
         if not lk[k]:
             raise DependentRows(f"row {k} is in the span of the previous rows")
         d.append(lk[k])
-    gamma = tuple(Fraction(b, a * D * D) for a, b in zip(d, d[1:]))
-    mu = tuple(tuple(Fraction(v, d[j + 1]) if j < k else Fraction(int(j == k))
-                     for j, v in enumerate(lk)) for k, lk in enumerate(lam))
-    return gamma, mu
+    return d, lam, D
 
 
 def project_onto_rowspace(B: Mat, x: Vec) -> Vec:

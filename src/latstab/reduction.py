@@ -1,12 +1,13 @@
-"""Basis reduction in exact rational arithmetic.
+"""Exact basis reduction.
 
-LLL decides its size-reduction and exchange conditions exactly, so
-reducing an already reduced basis is a literal no-op. It acts on the
-unimodular transform alone, with the Gram-Schmidt data updated in place,
-and forms the reduced rows once, in integers. Minkowski reduction is the
-greedy scheme: each step takes a shortest lattice vector that keeps the
-chosen prefix extendable to a basis. It is exact but enumerative, hence
-capped at rank 4, where one listing holds every row.
+LLL runs on integers (integral LLL: de Weger 1987; Cohen, Alg. 2.6.7) and
+decides its size-reduction and exchange conditions exactly, so reducing
+an already reduced basis is a literal no-op. It acts on the unimodular
+transform alone, with the integer Gram-Schmidt data (d, lam) updated in
+place, and forms the reduced rows once, in integers. Minkowski reduction
+is the greedy scheme: each step takes a shortest lattice vector that keeps
+the chosen prefix extendable to a basis. It is exact but enumerative,
+hence capped at rank 4, where one listing holds every row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import mul
 from . import linalg
 from .errors import CertificationFailed, NotInLattice, NotPrimitive, RankTooLarge
 from .lattice import Lattice, integral_coordinates
-from .linalg import Mat, Vec, as_mat, as_vec
+from .linalg import Mat, Vec, _round_half_even, as_mat, as_vec
 
 DEFAULT_DELTA = Fraction(3, 4)
 MINKOWSKI_MAX_RANK = 4
@@ -37,49 +38,47 @@ class ReducedBasis:
 
 
 def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], ...],
-                                                   tuple[Fraction, ...], Mat]:
+                                                   list[int], list[list[int]], int]:
     """LLL-reduce rows. Returns the reduced rows, formed once at the end as
     U * original in integers, the unimodular coordinate rows U, and the
-    squared Gram-Schmidt norms gamma and coefficients mu of the reduced rows.
+    integer Gram-Schmidt data (d, lam, D) of the reduced rows, as
+    linalg.gram_schmidt gives it.
 
     Gram-Schmidt is computed once; size reduction and swaps then update only
-    U, mu and gamma, exactly and in place (Cohen, Alg. 2.6.3), so every
-    rounding and exchange decision sees what a full recomputation would give."""
+    U, d and lam, in integers and in place, each division exact (integral
+    LLL: Cohen, Alg. 2.6.7), so every rounding and exchange decision sees
+    what a full recomputation would give."""
     m = len(rows)
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    gamma, mu = linalg.gram_schmidt(rows)
-    gamma, mu = list(gamma), [list(r) for r in mu]
+    d, lam, D = linalg.gram_schmidt(rows)
+    dn, dd = delta.numerator, delta.denominator
     k = 1
     while k < m:
-        mk = mu[k]
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mk[j])
+            q = _round_half_even(lk[j], d[j + 1])  # round(mu_kj)
             if q:
                 U[k] = [a - q * c for a, c in zip(U[k], U[j])]
-                mj = mu[j]
-                for i in range(j):
-                    mk[i] -= q * mj[i]
-                mk[j] -= q
-        u = mk[k - 1]
-        if gamma[k] >= (delta - u ** 2) * gamma[k - 1]:
+                lk[:j + 1] = [a - q * c for a, c in zip(lk, lam[j][:j + 1])]
+        u = lk[k - 1]
+        # Lovasz gamma_k >= (delta - mu^2) gamma_{k-1}, times d[k] d[k-1] D^2 dd
+        if dd * (d[k + 1] * d[k - 1] + u * u) >= dn * d[k] * d[k]:
             k += 1
             continue
-        # exchange rows k-1 and k: b*_{k-1} becomes b*_k + u b*_{k-1}
-        big = gamma[k] + u * u * gamma[k - 1]
-        v = u * gamma[k - 1] / big
-        gamma[k] = gamma[k - 1] * gamma[k] / big
-        gamma[k - 1] = big
+        # exchange rows k-1 and k: lam[k][k-1] stays u, and the Gram
+        # determinant of the new rows 0..k-1 is big
+        big = (d[k - 1] * d[k + 1] + u * u) // d[k]
         U[k], U[k - 1] = U[k - 1], U[k]
-        mk[:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mk[:k - 1]
-        mk[k - 1] = v
-        for i in range(k + 1, m):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - u * t
-            mu[i][k - 1] = t + v * mu[i][k]
+        lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]
+        for li in lam[k + 1:]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - u * t) // d[k]
+            li[k - 1] = (big * t + u * li[k]) // d[k + 1]
+        d[k] = lam[k - 1][k - 1] = big
         k = max(k - 1, 1)
-    Bz, D = linalg.clear_denominators(rows)
+    Bz = linalg.clear_denominators(rows)[0]
     reduced = tuple(tuple(Fraction(sum(map(mul, c, col)), D) for col in zip(*Bz)) for c in U)
-    return reduced, tuple(map(tuple, U)), tuple(gamma), tuple(tuple(r) for r in mu)
+    return reduced, tuple(map(tuple, U)), d, lam, D
 
 
 def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis:

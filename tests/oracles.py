@@ -207,6 +207,16 @@ def reference_gram_schmidt(B):
     return tuple(bstar), tuple(tuple(r) for r in mu)
 
 
+def gs_fractions(d, lam, D):
+    """(gamma, mu) of the integer Gram-Schmidt data (d, lam, D) of
+    linalg.gram_schmidt: gamma_k = d[k+1] / (d[k] D^2) and the unit lower
+    triangular mu_kj = lam[k][j] / d[j+1]."""
+    gamma = tuple(Fraction(b, a * D * D) for a, b in zip(d, d[1:]))
+    mu = tuple(tuple(Fraction(v, d[j + 1]) if j < k else Fraction(int(j == k))
+                     for j, v in enumerate(lk)) for k, lk in enumerate(lam))
+    return gamma, mu
+
+
 def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
     """enumeration._se_scan as first written, in Fractions: the same nodes,
     ticks, visit order and ties, with every center and every partial sum a

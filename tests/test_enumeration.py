@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,7 +26,8 @@ from latstab.latfile import parse_lattice_file
 from latstab.generate import random_lattice
 from conftest import seeded_lattices
 from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors, cell_vertices,
-                     reference_closest_vector, reference_se_scan, reference_voronoi_vertex_data)
+                     gs_fractions, reference_closest_vector, reference_gram_schmidt,
+                     reference_se_scan, reference_voronoi_vertex_data)
 
 
 class TestListVectors:
@@ -173,11 +174,31 @@ class TestIntegerScan:
         want = _scan_trace(reference_se_scan, prep, t, start, 200_000, shrink=True)
         assert _scan_trace(_se_scan, prep, t, start, 200_000, shrink=True) == want
         # closest_vector starts from the nearest-plane bound sum(gamma) / 4
-        plane_sq = sum(linalg.gram_schmidt(prep.rows)[0]) / 4
+        plane_sq = sum(gs_fractions(*linalg.gram_schmidt(prep.rows))[0]) / 4
         with pytest.raises(BudgetExceeded) as err:
             closest_vector(L, linalg.vec_mat(t, prep.rows), node_budget=0)
         assert str(err.value) == (f"closest_vector at rank {L.rank}, radius^2 {plane_sq} "
                                   f"exceeded node budget 0")
+
+    def test_scan_integers_are_minimal(self):
+        """M[i][i] is the lcm of the denominators of column i of mu, each column
+        of M has gcd 1, S is the lcm of the M[i][i]^2 den(gamma_i), and
+        w[i] M[i][i]^2 = gamma_i S, on integer bases and their rational duals."""
+        lattices = seeded_lattices(23, 30, n_max=7, entry_bound=9)
+        cleared = 0
+        for K in lattices + [dual(L) for L in lattices]:
+            prep = _prep(K)
+            cleared += linalg.clear_denominators(prep.rows)[1] > 1
+            bstar, mu = reference_gram_schmidt(prep.rows)
+            gamma = [linalg.norm_sq(b) for b in bstar]
+            M, m = prep.M, K.rank
+            for i in range(m):
+                assert M[i][i] == lcm(*(mu[j][i].denominator for j in range(i + 1, m)))
+                assert gcd(*(M[j][i] for j in range(i, m))) == 1
+                assert all(M[j][i] == mu[j][i] * M[i][i] for j in range(i, m))
+                assert prep.w[i] * M[i][i] ** 2 == gamma[i] * prep.S
+            assert prep.S == lcm(*(M[i][i] ** 2 * g.denominator for i, g in enumerate(gamma)))
+        assert cleared > 10
 
     @given(_rational_bases(), st.data())
     def test_nearest_plane_start_changes_no_answer(self, L, data):

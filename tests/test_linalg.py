@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from latstab import DependentRows, DimensionMismatch, SingularMatrix, equal_lattices, Lattice
 from latstab import linalg
-from oracles import (reference_det, reference_gram_schmidt, reference_null_space,
+from oracles import (gs_fractions, reference_det, reference_gram_schmidt, reference_null_space,
                      reference_rank, reference_rowspace_coefficients, reference_solve_matrix)
 
 
@@ -44,14 +44,24 @@ class TestBasics:
 
 class TestGramSchmidt:
     def test_integer_shear(self):
-        gamma, mu = linalg.gram_schmidt(M((1, 0), (3, 1)))
+        gamma, mu = gs_fractions(*linalg.gram_schmidt(M((1, 0), (3, 1))))
         assert gamma == (1, 1)
         assert mu == M((1, 0), (3, 1))
 
     def test_half_coefficient(self):
-        gamma, mu = linalg.gram_schmidt(M((2, 0), (1, 2)))
+        gs = linalg.gram_schmidt(M((2, 0), (1, 2)))
+        # Gram matrix ((4, 2), (2, 5)): d = (1, 4, 16) and lam[1][0] = d[1] mu_10 = 2
+        assert gs == ([1, 4, 16], [[4, 0], [2, 16]], 1)
+        gamma, mu = gs_fractions(*gs)
         assert gamma == (4, 4)
         assert mu == M((1, 0), (F(1, 2), 1))
+
+    def test_denominators_cleared(self):
+        # D = 6 clears B; gamma and mu are those of B itself, not of 6 B
+        B = M((F(1, 2), 0), (F(1, 3), F(1, 3)))
+        d, lam, D = linalg.gram_schmidt(B)
+        assert D == 6 and d == [1, 9, 36]
+        assert gs_fractions(d, lam, D) == ((F(1, 4), F(1, 9)), M((1, 0), (F(2, 3), 1)))
 
     def test_dependent_rows(self):
         with pytest.raises(DependentRows):
@@ -69,7 +79,7 @@ class TestGramSchmidt:
             with pytest.raises(DependentRows):
                 linalg.gram_schmidt(B)
             return
-        gamma, mu = linalg.gram_schmidt(B)
+        gamma, mu = gs_fractions(*linalg.gram_schmidt(B))
         bstar, mu_ref = reference_gram_schmidt(B)
         assert linalg.mat_mul(mu_ref, bstar) == B
         assert all(linalg.dot(bstar[i], bstar[j]) == 0 for i in range(len(B)) for j in range(i))

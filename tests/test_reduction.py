@@ -9,6 +9,7 @@ from latstab import (
     NotInLattice,
     NotPrimitive,
     RankTooLarge,
+    dual,
     enumeration,
     equal_lattices,
     extend_to_basis,
@@ -21,7 +22,7 @@ from latstab import (
 from latstab.enumeration import ShortVectorList
 from latstab.reduction import DEFAULT_DELTA, _lll_rows, _primitive_coords
 from conftest import seeded_lattices
-from oracles import (lll_violations, reference_gram_schmidt, reference_lll_rows,
+from oracles import (gs_fractions, lll_violations, reference_gram_schmidt, reference_lll_rows,
                      reference_minkowski_reduce, reference_primitive_coords, same_lattice)
 
 
@@ -45,7 +46,7 @@ class TestLLL:
     def test_size_reduced_and_lovasz(self):
         L = Lattice(((F(7), F(2), F(0)), (F(5), F(9), F(1)), (F(2), F(2), F(8))))
         red = lll(L)
-        gamma, mu = linalg.gram_schmidt(red.basis)
+        gamma, mu = gs_fractions(*linalg.gram_schmidt(red.basis))
         for i in range(1, L.rank):
             for j in range(i):
                 assert abs(mu[i][j]) <= F(1, 2)
@@ -59,22 +60,30 @@ class TestLLL:
 
 
 class TestIncrementalLLL:
-    """The exact in-place mu/gamma updates make the same moves as the
+    """The exact in-place integer (d, lam) updates make the same moves as the
     recompute-every-step reference."""
 
     @staticmethod
-    def check_against_reference(B):
-        rows, U, gamma, mu = _lll_rows(B, DEFAULT_DELTA)
-        assert (rows, U) == reference_lll_rows(B, DEFAULT_DELTA)
+    def check_against_reference(B, delta=DEFAULT_DELTA):
+        rows, U, *gs = _lll_rows(B, delta)
+        assert (rows, U) == reference_lll_rows(B, delta)
         assert linalg.mat_mul(linalg.as_mat(U), B) == rows
         assert abs(linalg.det(linalg.as_mat(U))) == 1
+        gamma, mu = gs_fractions(*gs)
         bstar, mu_ref = reference_gram_schmidt(rows)
         assert gamma == tuple(linalg.norm_sq(w) for w in bstar)
         assert mu == mu_ref
 
     def test_matches_reference_on_seeded_lattices(self):
-        for L in seeded_lattices(606, 40, n_max=8, entry_bound=9):
+        lattices = seeded_lattices(606, 40, n_max=8, entry_bound=9)
+        for L in lattices:
             self.check_against_reference(L.basis)
+        # rational bases, the duals, at a second delta too
+        duals = [dual(L).basis for L in lattices]
+        assert any(a.denominator > 1 for B in duals for row in B for a in row)
+        for B in duals:
+            for delta in (F(3, 4), F(99, 100)):
+                self.check_against_reference(B, delta)
 
     @pytest.mark.parametrize("m", [12, 13, 14])
     def test_matches_reference_at_rank_12_to_14(self, m):
@@ -86,6 +95,10 @@ class TestIncrementalLLL:
         red = lll(L)
         assert lll_violations(red.basis, F(3, 4)) == []
         assert same_lattice(L.basis, red.basis)
+        # the integer exchange updates at rank 20 leave what a fresh recurrence gives
+        out = _lll_rows(L.basis, DEFAULT_DELTA)
+        assert out[0] == red.basis
+        assert out[2:] == linalg.gram_schmidt(red.basis)
 
 
 class TestMinkowski:
