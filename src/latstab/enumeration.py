@@ -6,9 +6,10 @@ level leave the interval center outward, nearer side first). The scan runs
 on integers: the Gram-Schmidt data of each lattice comes from integral
 LLL (de Weger 1987; Cohen Alg. 2.6.7), reduced once to the least integers,
 and the target is scaled once by its common denominator q, so every bound
-test is an exact integer comparison at the common scale S q^2; no
-Fraction is built per node and floats never enter. A node budget caps the tree walk and
-raising BudgetExceeded is the only way a search gives up.
+test is an exact integer comparison at the common scale S q^2: the scan
+neither reads nor builds a Fraction, each reported number is built once, and
+floats never enter. A node budget caps the tree walk and raising
+BudgetExceeded is the only way a search gives up.
 """
 
 from __future__ import annotations
@@ -114,28 +115,26 @@ def _prep(L: Lattice) -> _Prep:
     return _Prep(rows=rows, transform=U, M=M, S=S, w=w, plane_sq=sum(gamma) / 4)
 
 
-def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
+def _se_scan(prep: _Prep, t: tuple, lim: list[int], on_leaf, budget: _Budget) -> None:
     """DFS over integer combinations c of the working rows, pruning exactly on
-    sum_i (c_i - center_i)^2 gamma_i > bound[0]. The bound may shrink inside
-    on_leaf; ties at the bound are still visited.
+    N(c) = S q^2 sum_i (c_i - center_i)^2 gamma_i > lim[0] and passing each
+    leaf's integer N(c) to on_leaf(c, N). The limit is an integer at the scale
+    S q^2 (a rational bound r enters as floor(r S q^2)); it may shrink inside
+    on_leaf, and ties at it are still visited. No Fraction is read or built.
 
     The target comes scaled, t = (T, q) for the working coordinates T / q
     with q > 0: center_i = Cn_i / (q e_i), e_i = M[i][i], for the integer
-    Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term times
-    S q^2 is the integer (c_i q e_i - Cn_i)^2 w_i: an integer sum exceeds
-    bound[0] S q^2 iff it exceeds its floor."""
+    Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term of N(c)
+    is the integer (c_i q e_i - Cn_i)^2 w_i."""
     M, w = prep.M, prep.w
     m = len(M)
     T, q = t
-    scale = prep.S * q * q
-    lim = [bound[0].numerator * scale // bound[0].denominator]
     c = [0] * m
 
     def descend(i: int, partial: int, ci: int, contrib: int):
         c[i] = ci
         if i == 0:
-            on_leaf(tuple(c), Fraction(partial + contrib, scale))
-            lim[0] = bound[0].numerator * scale // bound[0].denominator
+            on_leaf(tuple(c), partial + contrib)
         else:
             level(i - 1, partial + contrib)
 
@@ -179,9 +178,7 @@ def _se_scan(prep: _Prep, t: tuple, bound: list[Fraction], on_leaf, budget: _Bud
 
 
 def _to_stored(prep: _Prep, c_work: tuple[int, ...]) -> tuple[int, ...]:
-    U = prep.transform
-    m = len(U)
-    return tuple(sum(c_work[i] * U[i][j] for i in range(m)) for j in range(m))
+    return tuple(sum(map(mul, c_work, col)) for col in zip(*prep.transform))
 
 
 def _canonical_sign(coords: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,17 +196,17 @@ def list_vectors(L: Lattice, radius_sq, node_budget: int = DEFAULT_NODE_BUDGET) 
     if radius_sq < 0:
         raise ValueError(f"radius_sq must be nonnegative, got {radius_sq}")
     prep = _prep(L)
-    seen: dict[tuple[int, ...], Fraction] = {}
+    found: list[tuple[int, tuple[int, ...]]] = []
 
-    def on_leaf(c_work: tuple[int, ...], nsq: Fraction):
-        if not any(c_work):
-            return
-        seen[_canonical_sign(_to_stored(prep, c_work))] = nsq
+    def on_leaf(c_work: tuple[int, ...], N: int):
+        # one leaf of each +-pair: the one whose first nonzero working coordinate is positive
+        if next((a for a in c_work if a), 0) > 0:
+            found.append((N, _canonical_sign(_to_stored(prep, c_work))))
 
-    _se_scan(prep, ((0,) * L.rank, 1), [radius_sq], on_leaf,
-             _Budget(node_budget, "list_vectors", L.rank, radius_sq))
-    ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
-    return ShortVectorList(radius_sq=radius_sq, vectors=tuple(ordered))
+    _se_scan(prep, ((0,) * L.rank, 1), [radius_sq.numerator * prep.S // radius_sq.denominator],
+             on_leaf, _Budget(node_budget, "list_vectors", L.rank, radius_sq))
+    return ShortVectorList(radius_sq=radius_sq, vectors=tuple(
+        (coords, Fraction(N, prep.S)) for N, coords in sorted(found)))
 
 
 def shortest_vector(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[tuple[int, ...], Fraction]:
@@ -271,16 +268,17 @@ def _closest(L: Lattice, p: tuple, node_budget: int) -> tuple[Fraction, tuple[in
     prep = _prep(L)
     X, q = p
     t = tuple(sum(map(mul, X, col)) for col in zip(*prep.inverse)), q
-    best: list = [prep.plane_sq, []]  # best[0] is also the scan's shrinking bound
+    scale, plane = prep.S * q * q, prep.plane_sq
+    best: list = [plane.numerator * scale // plane.denominator, []]  # best[0] is the scan's limit
 
-    def on_leaf(c_work: tuple[int, ...], dsq: Fraction):
-        if dsq < best[0]:
-            best[:] = dsq, [c_work]
-        elif dsq == best[0]:
+    def on_leaf(c_work: tuple[int, ...], N: int):
+        if N < best[0]:
+            best[:] = N, [c_work]
+        elif N == best[0]:
             best[1].append(c_work)
 
-    _se_scan(prep, t, best, on_leaf, _Budget(node_budget, "closest_vector", L.rank, prep.plane_sq))
-    return best[0], min(_to_stored(prep, c) for c in best[1])
+    _se_scan(prep, t, best, on_leaf, _Budget(node_budget, "closest_vector", L.rank, plane))
+    return Fraction(best[0], scale), min(_to_stored(prep, c) for c in best[1])
 
 
 def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
@@ -360,29 +358,22 @@ def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: in
 
     upper_sq = _covering_upper_sq(L, node_budget)
     rng = SplitMix64(seed)
-    half = Fraction(1, 2)
-    starts = [tuple(half for _ in range(m))]
-    starts += [tuple(half if i == j else Fraction(0) for j in range(m)) for i in range(m)]
-    starts += [tuple(rng.fraction() for _ in range(m)) for _ in range(restarts)]
+    # points X / q in stored coordinates, as pairs in lowest terms
+    starts = [((1,) * m, 2)] + [(tuple(int(i == j) for j in range(m)), 2) for i in range(m)]
+    starts += [_scaled([rng.fraction() for _ in range(m)]) for _ in range(restarts)]
     best = (Fraction(0), linalg.zeros(L.ambient_dim))
-
-    def dist_sq_at(tcoords: Vec) -> Fraction:
-        return _closest(L, _scaled(tcoords), node_budget)[0]
-
-    for t0 in starts:
-        t = t0
-        f = dist_sq_at(t)
-        step = Fraction(1, 4)
-        while step >= Fraction(1, 64):
-            moved = False
-            for i in range(m):
-                for sgn in (1, -1):
-                    cand = tuple(a + sgn * step if j == i else a for j, a in enumerate(t))
-                    fc = dist_sq_at(cand)
+    for p in starts:
+        f = _closest(L, p, node_budget)[0]
+        for k in range(2, 7):  # the step 1 / 2^k, from 1/4 down to 1/64
+            moved = True
+            while moved:
+                moved = False
+                for i, sgn in product(range(m), (1, -1)):
+                    X, q = p
+                    cand = _lowest([(a << k) + sgn * q * (j == i) for j, a in enumerate(X)], q << k)
+                    fc = _closest(L, cand, node_budget)[0]
                     if fc > f:
-                        t, f, moved = cand, fc, True
-            if not moved:
-                step /= 2
+                        p, f, moved = cand, fc, True
         if f > best[0]:
-            best = (f, linalg.vec_mat(t, L.basis))
+            best = (f, linalg.vec_mat(tuple(Fraction(a, p[1]) for a in p[0]), L.basis))
     return CoveringRadiusBounds(lower_sq=best[0], upper_sq=upper_sq, exact=False, witness=best[1])

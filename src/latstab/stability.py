@@ -502,6 +502,9 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
 
 @dataclass(frozen=True)
 class StabilityProbe:
+    """estimated_r_sq is the least probed level whose certified lower bound f_hat_sq is
+    <= epsilon_sq: never above the first probed level at or above the exact least
+    radius, and a lower bound on it when levels_dropped is 0 (see stability_radius)."""
     delta: Fraction
     epsilon_sq: Fraction
     radius_grid: tuple[Fraction, ...]
@@ -530,12 +533,17 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     constraints at radius K*max||v_i|| pin every |v_i . x| within delta/K of
     an integer (this pinching needs delta < 1/3), so rounding lands within
     epsilon. The probed curve is therefore guaranteed to dip below epsilon^2
-    by the top level, and estimated_r_sq is the least grid radius where it
-    does. Reported values are monotone: each level is warm-started from the
-    earlier witnesses and a final backward pass propagates any later, still
-    feasible witness to the smaller radii where it is feasible too. The levels
-    run as one _probe_levels sweep, which makes each repair step and each
-    nearest-point search once for the whole grid.
+    by the top level. estimated_r_sq is the least probed level whose certified
+    lower bound f_hat^2 is <= epsilon^2; the exact worst distance^2 is at least
+    f_hat^2 and does not grow with the radius, so it is never above the first
+    probed level at or above the exact least radius (the least norm^2 where that
+    distance^2 is <= epsilon^2), and with levels_dropped 0 it is a lower bound
+    on that radius (Z^2 at epsilon^2 = 1/120: 9 against 10). Reported values
+    are monotone: each level is warm-started from the earlier witnesses and a
+    final backward pass propagates any later, still feasible witness to the
+    smaller radii where it is feasible too. The levels run as one _probe_levels
+    sweep, which makes each repair step and each nearest-point search once for
+    the whole grid.
     """
     cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)

@@ -217,13 +217,16 @@ def gs_fractions(d, lam, D):
     return gamma, mu
 
 
-def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Budget) -> None:
+def reference_se_scan(prep, scaled, lim: list[int], on_leaf, budget: _Budget) -> None:
     """enumeration._se_scan as first written, in Fractions: the same nodes,
     ticks, visit order and ties, with every center and every partial sum a
     Fraction built per node. It takes the target scaled as _se_scan does,
-    (T, q), and works on t = T / q. gamma and mu come from a fresh
+    (T, q), and works on t = T / q; it takes the integer limit lim[0] at the
+    scan's scale S q^2 and passes each leaf's distance at that scale, and
+    converts both to Fractions inside itself. gamma and mu come from a fresh
     Gram-Schmidt of the working rows, independent of LLL's incremental updates."""
     T, q = scaled
+    scale = prep.S * q * q
     t = [Fraction(a, q) for a in T]
     bstar, mu = reference_gram_schmidt(prep.rows)
     gamma = [linalg.norm_sq(b) for b in bstar]
@@ -233,7 +236,10 @@ def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Bud
     def descend(i: int, partial: Fraction, ci: int, contrib: Fraction):
         c[i] = ci
         if i == 0:
-            on_leaf(tuple(c), partial + contrib)
+            N = (partial + contrib) * scale
+            if N.denominator != 1:
+                raise ValueError(f"distance^2 {partial + contrib} is not at the scale {scale}")
+            on_leaf(tuple(c), N.numerator)
         else:
             level(i - 1, partial + contrib)
 
@@ -244,7 +250,7 @@ def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Bud
         c0 = round(center)
         budget.tick()
         contrib = (c0 - center) ** 2 * gamma[i]
-        if partial + contrib > bound[0]:
+        if partial + contrib > Fraction(lim[0], scale):
             return
         descend(i, partial, c0, contrib)
         up, dn = c0 + 1, c0 - 1
@@ -254,7 +260,7 @@ def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Bud
         while up_alive or dn_alive:
             if up_alive and (not dn_alive or up_c <= dn_c):
                 budget.tick()
-                if partial + up_c > bound[0]:
+                if partial + up_c > Fraction(lim[0], scale):
                     up_alive = False
                 else:
                     descend(i, partial, up, up_c)
@@ -262,7 +268,7 @@ def reference_se_scan(prep, scaled, bound: list[Fraction], on_leaf, budget: _Bud
                     up_c = (up - center) ** 2 * gamma[i]
             else:
                 budget.tick()
-                if partial + dn_c > bound[0]:
+                if partial + dn_c > Fraction(lim[0], scale):
                     dn_alive = False
                 else:
                     descend(i, partial, dn, dn_c)
@@ -287,18 +293,22 @@ def reference_closest_vector(L: Lattice, x) -> NearResult:
     prep = _prep(L)
     t = linalg.rowspace_coefficients(prep.rows, as_vec(x))
     start = babai_rounding_sq(prep, t)
-    bound, best = [start], [start, []]
+    T, q = linalg._scaled(t)
+    scale = prep.S * q * q
+    lim = [start.numerator * scale // start.denominator]
+    best = [lim[0], []]
 
-    def on_leaf(c, dsq):
-        if dsq < best[0]:
-            best[0], best[1], bound[0] = dsq, [c], dsq
-        elif dsq == best[0]:
+    def on_leaf(c, N):
+        if N < best[0]:
+            best[0], best[1], lim[0] = N, [c], N
+        elif N == best[0]:
             best[1].append(c)
 
-    reference_se_scan(prep, linalg._scaled(t), bound, on_leaf,
+    reference_se_scan(prep, (T, q), lim, on_leaf,
                       _Budget(10_000_000, "closest_vector", L.rank, start))
     coords = min(_to_stored(prep, c) for c in best[1])
-    return NearResult(point=linalg.vec_mat(as_vec(coords), L.basis), coords=coords, dist_sq=best[0])
+    return NearResult(point=linalg.vec_mat(as_vec(coords), L.basis), coords=coords,
+                      dist_sq=Fraction(best[0], scale))
 
 
 def reference_minkowski_reduce(L: Lattice, node_budget: int = 10_000_000) -> ReducedBasis:
@@ -331,9 +341,11 @@ def _points_within(L: Lattice, x: Vec, radius_sq: Fraction, node_budget: int):
     coordinates with exact squared distances."""
     prep = _prep(L)
     t = linalg.rowspace_coefficients(prep.rows, x)
+    T, q = linalg._scaled(t)
+    scale = prep.S * q * q
     out = []
-    _se_scan(prep, linalg._scaled(t), [radius_sq],
-             lambda c, dsq: out.append((_to_stored(prep, c), dsq)),
+    _se_scan(prep, (T, q), [radius_sq.numerator * scale // radius_sq.denominator],
+             lambda c, N: out.append((_to_stored(prep, c), Fraction(N, scale))),
              _Budget(node_budget, "_points_within", L.rank, radius_sq))
     return out
 

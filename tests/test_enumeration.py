@@ -44,6 +44,14 @@ class TestListVectors:
         got = list_vectors(mixed2, F(5, 4)).vectors
         assert got == (((0, 1), F(1, 4)), ((0, 2), F(1)))
 
+    def test_radius_is_rounded_down_to_the_scan_scale(self):
+        """tests/golden/mixed.txt has S = 4, so the radius^2 9/4 - 1/8 enters the
+        scan as floor(17/2) = 8 and must leave out (0, 3), whose N is 9."""
+        L = parse_lattice_file(Path(__file__).parent / "golden" / "mixed.txt")
+        assert _prep(L).S == 4
+        assert ((0, 3), F(9, 4)) in list_vectors(L, F(9, 4)).vectors
+        assert all(c != (0, 3) for c, _ in list_vectors(L, F(9, 4) - F(1, 8)))
+
     def test_matches_box_oracle_on_random_lattices(self):
         for L in seeded_lattices(101, 12, n_max=3, entry_bound=3):
             radius = 2 * max(linalg.norm_sq(r) for r in L.basis)
@@ -121,19 +129,22 @@ class TestClosestVector:
 
 
 def _scan_trace(scan, prep, t, radius_sq, cap, shrink=False):
-    """Every leaf (coords, dsq) in visit order, the budget left and whether
-    the budget ran out; with shrink, the bound follows the best leaf as in
-    closest_vector."""
-    bound, leaves = [radius_sq], []
+    """Every leaf (coords, N) in visit order, N the squared distance at the
+    scan's scale S q^2, the budget left and whether the budget ran out; the
+    limit is radius_sq at that scale rounded down, and with shrink it follows
+    the best leaf as in closest_vector."""
+    T, q = linalg._scaled(t)
+    scale = prep.S * q * q
+    lim, leaves = [radius_sq.numerator * scale // radius_sq.denominator], []
 
-    def on_leaf(c, dsq):
-        leaves.append((c, dsq))
-        if shrink and dsq < bound[0]:
-            bound[0] = dsq
+    def on_leaf(c, N):
+        leaves.append((c, N))
+        if shrink and N < lim[0]:
+            lim[0] = N
 
     budget = _Budget(cap, "scan", len(t), radius_sq)
     try:
-        scan(prep, linalg._scaled(t), bound, on_leaf, budget)
+        scan(prep, (T, q), lim, on_leaf, budget)
     except BudgetExceeded:
         return leaves, budget.left, True
     return leaves, budget.left, False

@@ -591,6 +591,25 @@ class TestStabilityRadius:
         assert sum(R is L.basis for R in solves) == 1
         assert len(cells) == 1 and cells[0] is Ld
 
+    def test_start_order_does_not_matter(self, monkeypatch):
+        """Ties go to the least ambient witness, so the dual cell's vertices
+        given in reverse order change no sweep and no single probe."""
+        cfg = ProbeConfig(0, 4, 20)
+
+        def results():
+            small = [Lattice(linalg.as_mat(B))
+                     for B in ([[1, 0], [0, 1]], [[1, 0], [0, 10]], [[2, 1], [1, 3]])]
+            mixed = parse_lattice_file(GOLDEN / "mixed.txt")
+            return ([stability_radius(L, F(1, 4), F(1, 100), cfg, max_levels=12) for L in small]
+                    + [stability_radius(mixed, F(1, 4), F(1, 100), cfg, max_levels=8)]
+                    + [probe_worst_distance(L, F(1, 4), 4, cfg) for L in small])
+
+        want = results()
+        real = stability._voronoi_vertex_data
+        monkeypatch.setattr(stability, "_voronoi_vertex_data",
+                            lambda Ld, budget: (real(Ld, budget)[0][::-1], *real(Ld, budget)[1:]))
+        assert [got == w for got, w in zip(results(), want)] == [True] * 7
+
     def test_backward_pass_lifts_a_level(self, monkeypatch):
         """Here the probe at r^2 = 34 finds less than the one at 36 does, and
         the witness of 36 is feasible at 34 too, so the pass carries it down."""
