@@ -138,11 +138,13 @@ def _env_budget() -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr, exit code 2; reads -1/2 as a value."""
+    """Reports a usage error as one line on stderr, exit code 2; reads -1/2 and
+    -1,10 as values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?(,(-?\d+(/\d+)?)?)*$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(EXIT_ERROR, f"error: {message}\n")

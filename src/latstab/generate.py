@@ -18,8 +18,8 @@ def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
     """Random full-rank integer basis of m rows in Z^n, entries drawn
     uniformly from [-entry_bound, entry_bound]. Rank-deficient draws are
     rejected. When min_lambda1_sq is given, the basis is rescaled by the
-    smallest integer that lifts the shortest vector past that bound, then
-    rechecked. Same seed, same lattice, on any platform."""
+    smallest integer that lifts the shortest vector past that bound. Same
+    seed, same lattice, on any platform."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if entry_bound < 1:
@@ -40,9 +40,6 @@ def random_lattice(seed: int, n: int, m: int, entry_bound: int = 9,
         _, lam1 = shortest_vector(L)
         if lam1 >= min_lambda1_sq:
             return L
-        s = linalg.ceil_sqrt(min_lambda1_sq / lam1)
-        scaled = Lattice(tuple(linalg.vscale(Fraction(s), r) for r in rows))
-        _, lam1_scaled = shortest_vector(scaled)
-        if lam1_scaled >= min_lambda1_sq:
-            return scaled
+        s = linalg.ceil_sqrt(min_lambda1_sq / lam1)  # s^2 lam1 >= min_lambda1_sq
+        return Lattice(tuple(linalg.vscale(Fraction(s), r) for r in rows))
     raise GenerationFailed(f"no suitable basis after {MAX_ATTEMPTS} attempts")

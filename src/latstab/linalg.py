@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import DependentRows, DimensionMismatch, SingularMatrix
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 

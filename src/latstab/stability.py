@@ -358,16 +358,18 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     the probe never fails; ties go to the least ambient witness, so the
     order of the starts does not matter.
 
-    Two tables live for one sweep, not on L: each point's slab scan, resumed
-    over a level's new rows and kept with its repair step, and each searched
-    point's nearest dual point. So every step and search is made once.
+    Two tables live for one sweep, not on L: each point's slab scan (the rows
+    read, the echelon, rows and face targets of the violated rows chosen, and
+    its repair step), resumed over a level's new rows, and each searched point's
+    nearest dual point. So every step and search is made once; a push
+    recomputes c.X for its own point.
     """
     Ld, m = dual(L), L.rank
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
     cols = list(zip(*C)) or [()] * m
-    # per sweep: p -> [rows read, their c.X while none is violated (else None), echelon,
-    # chosen rows, their face targets, (rows the step was taken from, step)], and p -> _closest
+    # per sweep: p -> [rows read, echelon, chosen rows, their face targets,
+    # (rows the step was taken from, step)], and p -> _closest
     scans: dict = {}
     nearest: dict = {}
 
@@ -382,9 +384,9 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         """p's slab scan resumed over the level's new rows, in blocks of 8, 16, ...,
         until m independent violated rows are chosen: the rows chosen up to a level
         start the choice at every later one, whose new rows come later in norm order."""
-        s = scans.setdefault(p, [0, [], [], [], [], None])
+        s = scans.setdefault(p, [0, [], [], [], None])
         X, q = p
-        read, Ns, echelon, rows, targets, _ = s
+        read, echelon, rows, targets, _ = s
         size = 8
         while read < k and len(rows) < m:
             new = products(X, read, min(k, read + size))
@@ -401,26 +403,22 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
                     rows.append(c)
                     r = linalg._round_half_even(new[i], q)  # c.y = target / dd on the nearest face
                     targets.append(r * dd - dn if new[i] < r * q else r * dd + dn)
-            if rows:
-                Ns = None
-            else:
-                Ns += new
             read, size = read + len(new), 2 * size
-        s[:2] = read, Ns
+        s[0] = read
         return s
 
     def repair(p):
-        """A feasible point near p with its slab products, or None. A step from fewer
-        than m rows is taken again once a later level's rows add to the choice."""
+        """A feasible point near p, or None. A step from fewer than m rows is
+        taken again once a later level's rows add to the choice."""
         for step in range(5):
             s = scan(p)
-            rows, targets, taken = s[3:]
+            rows, targets, taken = s[2:]
             if not rows:
-                return p, s[1]
+                return p
             if step == 4:
                 return None
             if taken is None or taken[0] < len(rows):
-                s[5] = taken = len(rows), _slab_step(rows, targets, dd, Gz, *p)
+                s[4] = taken = len(rows), _slab_step(rows, targets, dd, Gz, *p)
             p = taken[1]
 
     def closest(p):
@@ -428,15 +426,15 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
             nearest[p] = _closest(Ld, p, cfg.node_budget)
         return nearest[p]
 
-    def push(p, Ns: list[int], coords: tuple[int, ...]) -> list:
+    def push(p, coords: tuple[int, ...]) -> list:
         """Candidate points farther from the nearest dual point coords,
-        staying inside the current branch slabs; Ns = c.X over the level."""
+        staying inside the current branch slabs."""
         # with c.xi = N/q and c.d = A/q for d = xi - coords, the step to the
         # face r +- delta is ((r dd +- dn) q - N dd) / (A dd)
         X, q = p
         d = [a - c * q for a, c in zip(X, coords)]
         num = den = 0
-        for N, A in zip(Ns, products(d, 0, k)):
+        for N, A in zip(products(X, 0, k), products(d, 0, k)):
             if A == 0:
                 continue
             r = linalg._round_half_even(N, q)
@@ -457,20 +455,18 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         """Ascend from the repaired p0 to the farthest push candidate while it
         is farther than the current point: the distance rises at every step,
         so the last point is the best. It visits at most max_iters points."""
-        got = repair(p0) if cfg.max_iters > 0 else None
-        if got is None:
+        p = repair(p0) if cfg.max_iters > 0 else None
+        if p is None:
             return None
-        p, Ns = got
         near = closest(p)
         for _ in range(cfg.max_iters - 1):
             if not near[0]:
                 break
-            top = max(((closest(c), c) for c in push(p, Ns, near[1])),
+            top = max(((closest(c), c) for c in push(p, near[1])),
                       key=lambda t: t[0][0], default=(near, p))
             if top[0][0] <= near[0]:
                 break
             near, p = top
-            Ns = products(p[0], 0, k)
         return near[0], p
 
     def ambient(p) -> Vec:

@@ -327,6 +327,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: radius_sq must be nonnegative, got {radius_sq}\n"
 
+    @pytest.mark.parametrize("scales", ["-1,10", "-1/2,3", "-1,-10,"])
+    def test_negative_family_scale(self, run, scales):
+        # a comma list led by a minus sign is a value of --d, not an option
+        code, out, err = run("family", "--d", scales, "--restarts", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: family scales must be positive\n"
+
     def test_linear_shape_mismatch(self, run):
         code, out, err = run("linear-almost-near", "--matrix", "1 1", "-b", "1", "-x", "1 2 3")
         assert (code, out) == (2, "")

@@ -15,7 +15,10 @@ from latstab import (
     integral_coordinates,
     is_member,
     linalg,
+    random_lattice,
+    shortest_vector,
 )
+from latstab import generate
 from latstab.rng import SplitMix64
 
 
@@ -135,6 +138,34 @@ class TestConstruction:
     def test_from_generators_rational(self):
         L = Lattice.from_generators(((F(1, 2), 0), (F(1, 3), 0)))
         assert L.basis == ((F(1, 6), F(0)),)
+
+
+class TestRandomLattice:
+    def test_rescaled_draw_searches_once(self, monkeypatch):
+        """s = ceil sqrt(b / lambda1^2) gives lambda1(sL)^2 = s^2 lambda1^2 >= b,
+        so a rescaled basis is returned without a second shortest-vector search."""
+        found = []
+
+        def counting(L):
+            got = shortest_vector(L)
+            found.append(got[1])
+            return got
+
+        monkeypatch.setattr(generate, "shortest_vector", counting)
+        rescaled = 0
+        for seed in range(1001, 1041):
+            found.clear()
+            L = random_lattice(seed, 3, 3, min_lambda1_sq=16)
+            assert len(found) == 1
+            rescaled += found[0] < 16
+            assert shortest_vector(L)[1] >= 16
+        assert rescaled == 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 18])
+    @pytest.mark.parametrize("bound", [F(4), F(16), F(50, 3)])
+    def test_lambda1_reaches_the_bound(self, seed, bound):
+        L = random_lattice(seed, 3, 2, entry_bound=4, min_lambda1_sq=bound)
+        assert shortest_vector(L)[1] >= bound
 
 
 class TestSplitMix64:

@@ -591,6 +591,18 @@ class TestStabilityRadius:
         assert sum(R is L.basis for R in solves) == 1
         assert len(cells) == 1 and cells[0] is Ld
 
+    def test_rank_five_point_refutes_radius_27(self):
+        """A point feasible at r^2 = 27 lies farther than 1/10 from the dual, so
+        the least radius for delta = 1/4, epsilon^2 = 1/100 is above 27 on this
+        rank-5 lattice; the point fails the hypothesis at r^2 = 28."""
+        L = random_lattice(1, 5, 5, entry_bound=3)
+        x = (F(-1, 172), F(1, 86), F(3, 172), F(0), F(-17, 172))
+        at27 = check_hypothesis(L, x, F(1, 4), 27)
+        assert at27.holds and at27.checked_count == 27
+        assert not check_hypothesis(L, x, F(1, 4), 28).holds
+        dist_sq = near_dual_vector(L, x).dist_sq
+        assert dist_sq == F(303, 29584) and dist_sq > F(1, 100)
+
     def test_start_order_does_not_matter(self, monkeypatch):
         """Ties go to the least ambient witness, so the dual cell's vertices
         given in reverse order change no sweep and no single probe."""
