@@ -171,8 +171,7 @@ def _cmd_reduce(args, L):
         red = lll(L, args.delta)
     else:
         red = minkowski_reduce(L, node_budget=args.node_budget)
-    return {"kind": red.kind, "basis": red.basis, "norms_sq": red.norms_sq,
-            "parameter": red.parameter,
+    return {**dataclasses.asdict(red),
             "display": {"basis": red.basis,
                         "norms": [sqrt(q) for q in red.norms_sq]}}, EXIT_OK, None
 
@@ -201,7 +200,7 @@ def _cmd_cvp(args, L):
 
 
 def _cmd_covering(args, L):
-    bounds = covering_radius(L, args.mode, seed=args.seed, restarts=args.restarts,
+    bounds = covering_radius(L, seed=args.seed, restarts=args.restarts,
                              node_budget=args.node_budget)
     return {**dataclasses.asdict(bounds),
             "display": {"lower": sqrt(bounds.lower_sq), "upper": sqrt(bounds.upper_sq),
@@ -359,9 +358,8 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true",
                    help="allow x outside span(L); distance includes the offset")
 
-    p = add("covering", "covering radius bounds", _cmd_covering, inputs=("mode",),
-            budgets=("node_budget", "restarts"), seeded=True)
-    p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
+    p = add("covering", "covering radius bounds: exact up to rank 4, heuristic above",
+            _cmd_covering, budgets=("node_budget", "restarts"), seeded=True)
     p.add_argument("--restarts", type=_nonnegative, default=16)
 
     add("transference", "minima and covering inequalities against the dual "

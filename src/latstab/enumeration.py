@@ -336,26 +336,23 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
     return tuple((X, q) for _, X, q in verts), best_sq, witness
 
 
-def covering_radius(L: Lattice, mode: str = "exact", seed: int = 0, restarts: int = 16,
+def covering_radius(L: Lattice, *, seed: int = 0, restarts: int = 16,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> CoveringRadiusBounds:
     """Covering radius of L within its span, squared.
 
-    mode="exact" (rank <= MINKOWSKI_MAX_RANK, 4): the exact maximum over the
-    Voronoi cell's vertices, lower_sq == upper_sq, witness a deepest hole.
-    mode="heuristic": any rank; lower_sq comes from seeded multistart ascent of
-    the distance function (each an exact CVP), upper_sq from analytic bounds.
+    Up to rank MINKOWSKI_MAX_RANK (4): the exact maximum over the Voronoi
+    cell's vertices, lower_sq == upper_sq, witness a deepest hole. Above it:
+    lower_sq from seeded multistart ascent of the distance function (each an
+    exact CVP), upper_sq from analytic bounds, exact False.
     """
     m = L.rank
-    if mode == "exact":
+    if m <= MINKOWSKI_MAX_RANK:
         mu_sq, witness = _voronoi_vertex_data(L, node_budget)[1:3]
         check = closest_vector(L, witness, node_budget=node_budget)
         if check.dist_sq != mu_sq:
             raise CertificationFailed(f"deepest-hole witness lies at distance^2 {check.dist_sq}, "
                                       f"not at the vertex norm {mu_sq}")
         return CoveringRadiusBounds(lower_sq=mu_sq, upper_sq=mu_sq, exact=True, witness=witness)
-    if mode != "heuristic":
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-
     upper_sq = _covering_upper_sq(L, node_budget)
     rng = SplitMix64(seed)
     # points X / q in stored coordinates, as pairs in lowest terms

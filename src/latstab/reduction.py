@@ -27,14 +27,10 @@ MINKOWSKI_MAX_RANK = 4
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    lattice: Lattice
+    basis: Mat  # a basis of the input lattice
     kind: str  # "lll" or "minkowski"
     norms_sq: tuple[Fraction, ...]
     parameter: Fraction | None = None
-
-    @property
-    def basis(self) -> Mat:
-        return self.lattice.basis
 
 
 def _lll_rows(rows: Mat, delta: Fraction) -> tuple[Mat, tuple[tuple[int, ...], ...],
@@ -88,7 +84,7 @@ def lll(L: Lattice, delta: Fraction | str | int = DEFAULT_DELTA) -> ReducedBasis
         raise ValueError(f"LLL parameter must be in (1/4, 1), got {delta}")
     rows = _lll_rows(L.basis, delta)[0]
     return ReducedBasis(
-        lattice=Lattice(rows),
+        basis=rows,
         kind="lll",
         norms_sq=tuple(linalg.norm_sq(r) for r in rows),
         parameter=delta,
@@ -150,7 +146,7 @@ def minkowski_reduce(L: Lattice, node_budget: int | None = None) -> ReducedBasis
         raise CertificationFailed(f"the listing up to the longest LLL row holds "
                                   f"{len(rows)} Minkowski rows, not {L.rank}")
     return ReducedBasis(
-        lattice=Lattice(tuple(rows)),
+        basis=tuple(rows),
         kind="minkowski",
         norms_sq=tuple(linalg.norm_sq(r) for r in rows),
     )

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
-from operator import add, mul
+from operator import mul
 
 from . import linalg
 from .enumeration import (
@@ -245,8 +245,7 @@ def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,
     m = L.rank
     mins = successive_minima(L, node_budget=node_budget).minima_sq
     dmins = successive_minima(dual(L), node_budget=node_budget).minima_sq
-    mode = "exact" if m <= MINKOWSKI_MAX_RANK else "heuristic"
-    mu = covering_radius(dual(L), mode, seed=seed, node_budget=node_budget)
+    mu = covering_radius(dual(L), seed=seed, node_budget=node_budget)
     rank_bound = Fraction(m * m)
     fact_bound = Fraction(factorial(m)) ** 2
     per_k = tuple(
@@ -367,18 +366,14 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     Ld, m = dual(L), L.rank
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
-    cols = list(zip(*C)) or [()] * m
     # per sweep: p -> [rows read, echelon, chosen rows, their face targets,
     # (rows the step was taken from, step)], and p -> _closest
     scans: dict = {}
     nearest: dict = {}
 
     def products(X, lo: int, hi: int) -> list[int]:
-        """c.X for the constraint rows C[lo:hi], one coordinate column at a time."""
-        Ns = map(X[0].__mul__, cols[0][lo:hi])
-        for a, col in zip(X[1:], cols[1:]):
-            Ns = map(add, Ns, map(a.__mul__, col[lo:hi]))
-        return list(Ns)
+        """c.X for the constraint rows C[lo:hi]."""
+        return [sum(map(mul, c, X)) for c in C[lo:hi]]
 
     def scan(p) -> list:
         """p's slab scan resumed over the level's new rows, in blocks of 8, 16, ...,
@@ -552,7 +547,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     m = L.rank
     red = minkowski_reduce(L, node_budget=cfg.node_budget) if m <= MINKOWSKI_MAX_RANK else lll(L)
-    sum_w = sum((linalg.norm_sq(w) for w in dual(red.lattice).basis), Fraction(0))
+    V = red.basis  # its dual rows W solve gram(V) W = V
+    sum_w = sum((linalg.norm_sq(w) for w in linalg.solve_matrix(linalg.gram(V), V)), Fraction(0))
     base_radius_sq = max(red.norms_sq)
     base_bound_sq = delta * delta * m * sum_w
     K = max(1, linalg.ceil_sqrt(base_bound_sq / epsilon_sq))
@@ -629,7 +625,7 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
             lattice=L,
             minima_sq=successive_minima(L, node_budget=cfg.node_budget).minima_sq,
             dual_minima_sq=successive_minima(dual(L), node_budget=cfg.node_budget).minima_sq,
-            mu_dual_sq=covering_radius(dual(L), "exact", node_budget=cfg.node_budget).lower_sq,
+            mu_dual_sq=covering_radius(dual(L), node_budget=cfg.node_budget).lower_sq,
             probe=probe,
         ))
     return tuple(out)

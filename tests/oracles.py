@@ -332,7 +332,7 @@ def reference_minkowski_reduce(L: Lattice, node_budget: int = 10_000_000) -> Red
             r *= 4
         rows.append(pick[0])
         chosen.append(pick[1])
-    return ReducedBasis(lattice=Lattice(tuple(rows)), kind="minkowski",
+    return ReducedBasis(basis=tuple(rows), kind="minkowski",
                         norms_sq=tuple(linalg.norm_sq(v) for v in rows))
 
 

@@ -92,7 +92,7 @@ def test_criterion_4_minkowski_norms_sandwiched_by_minima():
     for L in seeded_lattices(4004, 50, n_max=3, entry_bound=6):
         red = minkowski_reduce(L)
         mins = successive_minima(L).minima_sq
-        assert equal_lattices(red.lattice, L)
+        assert equal_lattices(Lattice(red.basis), L)
         assert red.norms_sq[0] == mins[0]
         for k, (norm_sq, lam_sq) in enumerate(zip(red.norms_sq, mins), start=1):
             assert lam_sq <= norm_sq <= 4**k * lam_sq

@@ -290,9 +290,11 @@ class TestExitCodes:
         rows = "\n".join(" ".join("1" if i == j else "0" for j in range(5))
                          for i in range(5))
         path.write_text(f"5 5\n{rows}\n")
-        code, _, err = run("covering", str(path), "--mode", "exact")
-        assert code == 2
-        assert "rank" in err
+        code, out, err = run("covering", str(path))
+        assert (code, err) == (0, "")
+        results = doc_of(out)["results"]
+        assert results["exact"] is False
+        assert results["lower_sq"] == results["upper_sq"] == "5/4"
 
     def test_near_dual_outside_span(self, run, tmp_path):
         path = tmp_path / "plane.txt"
@@ -380,7 +382,7 @@ class TestExitCodes:
                 "--max-levels", "0")),
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "0")),
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "-1")),
-        (None, ("covering", "L", "--mode", "heuristic", "--restarts", "-1")),
+        (None, ("covering", "L", "--restarts", "-1")),
         (None, ("family", "--restarts", "-1")),
         (None, ("minima", "L", "--node-budget", "0")),
         (None, ("minima", "L", "--node-budget", "-1")),
@@ -435,8 +437,7 @@ FUZZ_FLAGS = {
     "reduce": (True, {"--kind": ["lll", "minkowski", "other"], "--delta": RATIONALS}),
     "svp": (True, {"--r2": RATIONALS, "--csv": None}),
     "cvp": (True, {"-x": VECTORS, "--project": None}),
-    "covering": (True, {"--mode": ["exact", "heuristic"], "--restarts": ["0", "0", "-1"],
-                        "--seed": COUNTS}),
+    "covering": (True, {"--restarts": ["0", "0", "-1"], "--seed": COUNTS}),
     "transference": (True, {"--seed": COUNTS}),
     "hypothesis": (True, {"-x": VECTORS, "--delta": RATIONALS, "--r2": RATIONALS}),
     "round-dual": (True, {"-x": VECTORS}),

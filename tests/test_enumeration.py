@@ -434,23 +434,35 @@ class TestCoveringRadius:
             assert covering_radius(K).lower_sq == mu_sq
 
     def test_exact_capped_above_rank_four(self):
+        """Above the cap the answer is the ascent's, labelled as not exact;
+        on Z^5 its first start is the deep hole and the bounds meet."""
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(5)) for i in range(5))
-        with pytest.raises(RankTooLarge):
-            covering_radius(Lattice(rows))
-
-    def test_heuristic_brackets_exact(self, mixed2):
-        got = covering_radius(mixed2, "heuristic", seed=3)
+        got = covering_radius(Lattice(rows))
         assert not got.exact
+        assert got.lower_sq == got.upper_sq == F(5, 4)
+        with pytest.raises(RankTooLarge):
+            enumeration._voronoi_vertex_data(Lattice(rows), DEFAULT_NODE_BUDGET)
+
+    # the ascent runs only above the cap: with the cap at 0 it runs at every rank,
+    # and each test below would otherwise pass on the exact cell
+
+    def test_heuristic_brackets_exact(self, mixed2, monkeypatch):
+        monkeypatch.setattr(enumeration, "MINKOWSKI_MAX_RANK", 0)
+        got = covering_radius(mixed2, seed=3)
+        assert got.exact is False
         assert got.lower_sq <= F(17, 16) <= got.upper_sq
 
-    def test_heuristic_finds_cube_hole(self):
+    def test_heuristic_finds_cube_hole(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MINKOWSKI_MAX_RANK", 0)
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(4)) for i in range(4))
-        got = covering_radius(Lattice(rows), "heuristic")
+        got = covering_radius(Lattice(rows))
+        assert got.exact is False
         assert got.lower_sq == got.upper_sq == F(1)
 
     def test_heuristic_ascent_eliminates_nothing_per_evaluation(self, monkeypatch):
         """The ascent searches integer coordinates directly: its eliminations
         are the lattice's one-off ones, however many starts it climbs from."""
+        monkeypatch.setattr(enumeration, "MINKOWSKI_MAX_RANK", 0)
         calls = []
         real = linalg._eliminate
         monkeypatch.setattr(linalg, "_eliminate",
@@ -459,10 +471,11 @@ class TestCoveringRadius:
         for restarts in (1, 4):
             calls.clear()
             L = parse_lattice_file(Path(__file__).parent / "golden" / "b7.txt")
-            covering_radius(L, "heuristic", restarts=restarts)
+            assert covering_radius(L, restarts=restarts).exact is False
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
     def test_mode_validated(self, z2):
-        with pytest.raises(ValueError):
-            covering_radius(z2, "fast")
+        """The rank chooses the method; a method passed by position is refused."""
+        with pytest.raises(TypeError):
+            covering_radius(z2, "exact")

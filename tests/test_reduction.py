@@ -30,17 +30,17 @@ class TestLLL:
     def test_nearly_parallel_collapses(self):
         red = lll(Lattice(((F(201), F(200)), (F(200), F(199)))))
         assert sorted(red.norms_sq) == [1, 1]
-        assert equal_lattices(red.lattice, Lattice(((F(1), F(0)), (F(0), F(1)))))
+        assert equal_lattices(Lattice(red.basis), Lattice(((F(1), F(0)), (F(0), F(1)))))
 
     def test_preserves_lattice(self, skew2):
         red = lll(skew2)
-        assert equal_lattices(red.lattice, skew2)
+        assert equal_lattices(Lattice(red.basis), skew2)
         assert red.kind == "lll"
         assert red.parameter == F(3, 4)
 
     def test_idempotent(self, skew2):
         once = lll(skew2)
-        again = lll(once.lattice)
+        again = lll(Lattice(once.basis))
         assert again.basis == once.basis
 
     def test_size_reduced_and_lovasz(self):
@@ -51,6 +51,17 @@ class TestLLL:
             for j in range(i):
                 assert abs(mu[i][j]) <= F(1, 2)
             assert gamma[i] >= (F(3, 4) - mu[i][i - 1] ** 2) * gamma[i - 1]
+
+    def test_no_rank_elimination(self, monkeypatch):
+        """The reduced rows are a unimodular image of independent rows, so lll
+        checks no rank of its own: its result holds rows, not a Lattice."""
+        L = random_lattice(3, 6, 6)
+        calls = []
+        real = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda M: calls.append(M) or real(M))
+        red = lll(L)
+        assert calls == []
+        assert equal_lattices(Lattice(red.basis), L)
 
     def test_delta_validated(self, z2):
         with pytest.raises(ValueError):
@@ -113,7 +124,7 @@ class TestMinkowski:
     def test_shear_flattens(self, skew2):
         red = minkowski_reduce(skew2)
         assert red.norms_sq == (1, 1)
-        assert equal_lattices(red.lattice, skew2)
+        assert equal_lattices(Lattice(red.basis), skew2)
 
     def test_rank_cap(self):
         rows = tuple(tuple(F(1 if i == j else 0) for j in range(5)) for i in range(5))
@@ -178,7 +189,7 @@ class TestMinkowski:
     def test_norms_sorted_nondecreasing(self):
         red = minkowski_reduce(Lattice(((F(5), F(3)), (F(2), F(1)))))
         assert list(red.norms_sq) == sorted(red.norms_sq)
-        assert equal_lattices(red.lattice, Lattice(((F(5), F(3)), (F(2), F(1)))))
+        assert equal_lattices(Lattice(red.basis), Lattice(((F(5), F(3)), (F(2), F(1)))))
 
 
 class TestPrimitivity:
@@ -246,7 +257,7 @@ def test_lll_bounds_shortest(rows):
         return
     L = Lattice(B)
     red = lll(L)
-    assert equal_lattices(red.lattice, L)
+    assert equal_lattices(Lattice(red.basis), L)
     # first LLL row is at most 2^((m-1)/2) times the shortest vector (squared: 2)
     from latstab import shortest_vector
     _, lam1 = shortest_vector(L)
