@@ -200,15 +200,14 @@ def _cmd_cvp(args, L):
 
 
 def _cmd_covering(args, L):
-    bounds = covering_radius(L, seed=args.seed, restarts=args.restarts,
-                             node_budget=args.node_budget)
+    bounds = covering_radius(L, node_budget=args.node_budget)
     return {**dataclasses.asdict(bounds),
             "display": {"lower": sqrt(bounds.lower_sq), "upper": sqrt(bounds.upper_sq),
                         "witness": bounds.witness}}, EXIT_OK, None
 
 
 def _cmd_transference(args, L):
-    rep = transference_check(L, node_budget=args.node_budget, seed=args.seed)
+    rep = transference_check(L, node_budget=args.node_budget)
     mu = rep.mu_dual
     results = {**dataclasses.asdict(rep),
                "mu_dual": {"lower_sq": mu.lower_sq, "upper_sq": mu.upper_sq, "exact": mu.exact},
@@ -295,7 +294,7 @@ def _cmd_gen(args, _):
 
 
 def _cmd_linear(args, _):
-    rep = residual_amplification(args.matrix, args.b, args.x, seed=args.seed)
+    rep = residual_amplification(args.matrix, args.b, args.x)
     results = {k: getattr(rep, k) for k in (
         "y", "residual_norm_sq", "correction_norm_sq", "sigma_min_sq_lower")}
     results["display"] = {"y": rep.y, "residual": sqrt(rep.residual_norm_sq),
@@ -358,12 +357,11 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p.add_argument("--project", action="store_true",
                    help="allow x outside span(L); distance includes the offset")
 
-    p = add("covering", "covering radius bounds: exact up to rank 4, heuristic above",
-            _cmd_covering, budgets=("node_budget", "restarts"), seeded=True)
-    p.add_argument("--restarts", type=_nonnegative, default=16)
+    add("covering", "covering radius: exact up to rank 4; above it a lower bound from "
+                    "a fixed ascent, with an analytic upper bound", _cmd_covering)
 
     add("transference", "minima and covering inequalities against the dual "
-                        "(exit 1 on violation)", _cmd_transference, seeded=True)
+                        "(exit 1 on violation)", _cmd_transference)
 
     p = add("hypothesis", "check |u.x| near-integrality up to a radius "
                           "(exit 1 when violated)", _cmd_hypothesis,
@@ -423,7 +421,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
 
     p = add("linear-almost-near", "nearest exact solution of Ay=b and the residual "
                                   "amplification certificate", _cmd_linear,
-            inputs=("matrix", "b", "x"), budgets=(), lattice=False, seeded=True)
+            inputs=("matrix", "b", "x"), budgets=(), lattice=False)
     p.add_argument("--matrix", type=_arg(_parse_matrix), required=True,
                    help="rows separated by ';', e.g. '1 0; 3 1'")
     p.add_argument("-b", type=_vector, required=True)

@@ -29,6 +29,7 @@ from .reduction import DEFAULT_DELTA, MINKOWSKI_MAX_RANK, _lll_rows
 from .rng import SplitMix64
 
 DEFAULT_NODE_BUDGET = 10_000_000
+ASCENT_SEED, ASCENT_RESTARTS = 0, 16  # the random starts of _deep_holes above rank 4
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
     """Vertices of the Voronoi cell of the origin as coordinates X / q in L's
     basis, pairs (X, q) in lowest terms, the exact squared covering radius,
     and the witness vertex in ambient coordinates. Kept on L, so every probe
-    level and covering radius of one run shares one cell."""
+    level and covering radius of one run shares one cell (see _deep_holes)."""
     m = L.rank
     if m > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
@@ -336,29 +337,22 @@ def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
     return tuple((X, q) for _, X, q in verts), best_sq, witness
 
 
-def covering_radius(L: Lattice, *, seed: int = 0, restarts: int = 16,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> CoveringRadiusBounds:
-    """Covering radius of L within its span, squared.
-
-    Up to rank MINKOWSKI_MAX_RANK (4): the exact maximum over the Voronoi
-    cell's vertices, lower_sq == upper_sq, witness a deepest hole. Above it:
-    lower_sq from seeded multistart ascent of the distance function (each an
-    exact CVP), upper_sq from analytic bounds, exact False.
-    """
+@per_lattice
+def _deep_holes(L: Lattice, node_budget: int) -> tuple:
+    """L's holes, kept on L for the covering radius and the probe's starts: pairs
+    (X, q) in lowest terms for the points X / q in L's basis, the deepest one's
+    squared distance, and its ambient witness. Up to rank MINKOWSKI_MAX_RANK the
+    Voronoi cell's vertices (exact); above it, the end points of a coordinate
+    ascent of the distance (an exact search per value) from the half-vectors and
+    ASCENT_RESTARTS points of ASCENT_SEED, by steps 1/4 to 1/64 while it strictly
+    rises: a lower bound, witnessed by the first end point reaching it."""
     m = L.rank
     if m <= MINKOWSKI_MAX_RANK:
-        mu_sq, witness = _voronoi_vertex_data(L, node_budget)[1:3]
-        check = closest_vector(L, witness, node_budget=node_budget)
-        if check.dist_sq != mu_sq:
-            raise CertificationFailed(f"deepest-hole witness lies at distance^2 {check.dist_sq}, "
-                                      f"not at the vertex norm {mu_sq}")
-        return CoveringRadiusBounds(lower_sq=mu_sq, upper_sq=mu_sq, exact=True, witness=witness)
-    upper_sq = _covering_upper_sq(L, node_budget)
-    rng = SplitMix64(seed)
-    # points X / q in stored coordinates, as pairs in lowest terms
+        return _voronoi_vertex_data(L, node_budget)
+    rng = SplitMix64(ASCENT_SEED)
     starts = [((1,) * m, 2)] + [(tuple(int(i == j) for j in range(m)), 2) for i in range(m)]
-    starts += [_scaled([rng.fraction() for _ in range(m)]) for _ in range(restarts)]
-    best = (Fraction(0), linalg.zeros(L.ambient_dim))
+    starts += [_scaled([rng.fraction() for _ in range(m)]) for _ in range(ASCENT_RESTARTS)]
+    ends = []
     for p in starts:
         f = _closest(L, p, node_budget)[0]
         for k in range(2, 7):  # the step 1 / 2^k, from 1/4 down to 1/64
@@ -371,6 +365,21 @@ def covering_radius(L: Lattice, *, seed: int = 0, restarts: int = 16,
                     fc = _closest(L, cand, node_budget)[0]
                     if fc > f:
                         p, f, moved = cand, fc, True
-        if f > best[0]:
-            best = (f, linalg.vec_mat(tuple(Fraction(a, p[1]) for a in p[0]), L.basis))
-    return CoveringRadiusBounds(lower_sq=best[0], upper_sq=upper_sq, exact=False, witness=best[1])
+        ends.append((f, p))
+    f, (X, q) = max(ends, key=lambda e: e[0])  # the first of the deepest
+    return tuple(p for _, p in ends), f, linalg.vec_mat(tuple(Fraction(a, q) for a in X), L.basis)
+
+
+def covering_radius(L: Lattice, *, node_budget: int = DEFAULT_NODE_BUDGET) -> CoveringRadiusBounds:
+    """Covering radius of L within its span, squared: the deepest of _deep_holes.
+    Up to rank MINKOWSKI_MAX_RANK (4) it is exact, lower_sq == upper_sq, and
+    certified by a search at the witness; above it upper_sq is analytic and exact False."""
+    mu_sq, witness = _deep_holes(L, node_budget)[1:]
+    if L.rank > MINKOWSKI_MAX_RANK:
+        return CoveringRadiusBounds(lower_sq=mu_sq, upper_sq=_covering_upper_sq(L, node_budget),
+                                    exact=False, witness=witness)
+    check = closest_vector(L, witness, node_budget=node_budget)
+    if check.dist_sq != mu_sq:
+        raise CertificationFailed(f"deepest-hole witness lies at distance^2 {check.dist_sq}, "
+                                  f"not at the vertex norm {mu_sq}")
+    return CoveringRadiusBounds(lower_sq=mu_sq, upper_sq=mu_sq, exact=True, witness=witness)

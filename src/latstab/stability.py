@@ -24,7 +24,7 @@ from .enumeration import (
     CoveringRadiusBounds,
     NearResult,
     _closest,
-    _voronoi_vertex_data,
+    _deep_holes,
     closest_vector,
     covering_radius,
     list_vectors,
@@ -143,14 +143,15 @@ class ResidualReport:
     sigma_min_estimate: float     # power-iteration estimate, approximate
 
 
-def residual_amplification(A, b, x, seed: int = 0) -> ResidualReport:
+def residual_amplification(A, b, x) -> ResidualReport:
     """How much the correction ||x - y|| can exceed the residual ||Ax - b||.
 
     The correction lies in the row space, where ||Av|| >= sigma_min ||v||, so
     correction^2 * sigma_min^2 <= residual^2. Both the identity
     ||A(x - y)||^2 == residual^2 and that inequality (with the certified
     rational bound sigma_min^2 >= 1/trace((AA^T)^-1)) are checked exactly and
-    raise CertificationFailed when they fail.
+    raise CertificationFailed when they fail. The display-only estimate is a
+    power iteration from a fixed seed-0 start.
     """
     A, b, x = _linear_system(A, b, x)
     r = linalg.vsub(linalg.mat_vec(A, x), b)
@@ -167,7 +168,7 @@ def residual_amplification(A, b, x, seed: int = 0) -> ResidualReport:
     sigma_min_sq_lower = 1 / trace_inv
     if correction_sq * sigma_min_sq_lower > residual_sq:
         raise CertificationFailed("correction^2 * sigma_min^2 lower bound exceeds residual^2")
-    rng = SplitMix64(seed)
+    rng = SplitMix64(0)
     v = as_vec([rng.int_between(1, 16) for _ in range(len(A))])
     for _ in range(POWER_ITERS):
         v = linalg.mat_vec(Ginv, v)
@@ -233,8 +234,7 @@ class TransferenceReport:
         return self._verdicts() == {"satisfied"}
 
 
-def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,
-                       seed: int = 0) -> TransferenceReport:
+def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> TransferenceReport:
     """Evaluate the minima/covering inequalities tying L to its dual.
 
     Everything is compared in squared form. The covering radius of the dual
@@ -245,7 +245,7 @@ def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET,
     m = L.rank
     mins = successive_minima(L, node_budget=node_budget).minima_sq
     dmins = successive_minima(dual(L), node_budget=node_budget).minima_sq
-    mu = covering_radius(dual(L), seed=seed, node_budget=node_budget)
+    mu = covering_radius(dual(L), node_budget=node_budget)
     rank_bound = Fraction(m * m)
     fact_bound = Fraction(factorial(m)) ** 2
     per_k = tuple(
@@ -350,9 +350,9 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     branched to the nearest integer per constraint, repaired onto the slab
     faces by least squares in the metric of the dual (the ambient nearest
     point, as it lies in span(L)), then pushed away from its nearest dual
-    point until a slab face blocks, all in integers. The starts (the dual
-    cell's vertices or the half-vectors, and cfg.restarts seeded points) are
-    made once, and each level's best point joins them for the later levels.
+    point until a slab face blocks, all in integers. The starts (the dual's
+    holes from _deep_holes, the half-vectors, and cfg.restarts seeded points)
+    are made once, and each level's best point joins them for the later levels.
     Each level's answer starts at (0, origin), feasible and on the dual, so
     the probe never fails; ties go to the least ambient witness, so the
     order of the starts does not matter.
@@ -467,12 +467,9 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     def ambient(p) -> Vec:
         return linalg.vec_mat(tuple(Fraction(a, p[1]) for a in p[0]), Ld.basis)
 
-    starts: list = []
-    if m <= MINKOWSKI_MAX_RANK:
-        starts += _voronoi_vertex_data(Ld, cfg.node_budget)[0]
-        masks = range(1, 2**m)
-    else:
-        masks = [1 << i for i in range(m)] + [2**m - 1]
+    starts = list(_deep_holes(Ld, cfg.node_budget)[0])
+    masks = (range(1, 2**m) if m <= MINKOWSKI_MAX_RANK
+             else [1 << i for i in range(m)] + [2**m - 1])
     starts += [(tuple(mask >> i & 1 for i in range(m)), 2) for mask in masks]
     rng = SplitMix64(cfg.seed)
     starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(cfg.restarts)]

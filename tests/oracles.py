@@ -17,9 +17,8 @@ from math import gcd
 
 from latstab import CertificationFailed, DependentRows, Lattice, ProbeConfig, SingularMatrix, dual
 from latstab import linalg
-from latstab.enumeration import (NearResult, _Budget, _prep, _se_scan, _to_stored,
-                                 _voronoi_vertex_data, closest_vector, list_vectors,
-                                 successive_minima)
+from latstab.enumeration import (NearResult, _Budget, _deep_holes, _prep, _se_scan,
+                                 _to_stored, closest_vector, list_vectors, successive_minima)
 from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
 from latstab.reduction import (MINKOWSKI_MAX_RANK, ReducedBasis, _ambient_canonical,
@@ -544,12 +543,11 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
             x = stepped[1]
         return best
 
+    # the dual's holes (the cell's vertices up to the rank cap, the covering
+    # ascent's end points above it) come from the probe's own source
     starts: list[Vec] = [linalg.zeros(n)]
-    if m <= MINKOWSKI_MAX_RANK:
-        starts += cell_vertices(Ld, _voronoi_vertex_data(Ld, cfg.node_budget)[0])
-        masks = range(1, 2**m)
-    else:
-        masks = [1 << i for i in range(m)] + [2**m - 1]
+    starts += cell_vertices(Ld, _deep_holes(Ld, cfg.node_budget)[0])
+    masks = range(1, 2**m) if m <= MINKOWSKI_MAX_RANK else [1 << i for i in range(m)] + [2**m - 1]
     for mask in masks:
         sel = as_vec([HALF if mask >> i & 1 else 0 for i in range(m)])
         starts.append(linalg.vec_mat(sel, W))

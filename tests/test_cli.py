@@ -296,6 +296,19 @@ class TestExitCodes:
         assert results["exact"] is False
         assert results["lower_sq"] == results["upper_sq"] == "5/4"
 
+    @pytest.mark.parametrize("argv", [
+        ("covering", "L", "--seed", "1"),
+        ("covering", "L", "--restarts", "3"),
+        ("transference", "L", "--seed", "1"),
+        ("linear-almost-near", "--matrix", "1 1", "-b", "1", "-x", "3/5 3/5", "--seed", "1"),
+    ])
+    def test_no_seed_where_it_changes_no_exact_number(self, run, mixed_file, argv):
+        """The covering ascent's seed and restarts are fixed, and the power
+        iteration's seed moves only a display float: these options are gone."""
+        code, out, err = run(*[mixed_file if a == "L" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_near_dual_outside_span(self, run, tmp_path):
         path = tmp_path / "plane.txt"
         path.write_text("3 2\n1 0 0\n0 1 0\n")
@@ -382,7 +395,8 @@ class TestExitCodes:
                 "--max-levels", "0")),
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "0")),
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "-1")),
-        (None, ("covering", "L", "--restarts", "-1")),
+        (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
+                "--restarts", "-1")),
         (None, ("family", "--restarts", "-1")),
         (None, ("minima", "L", "--node-budget", "0")),
         (None, ("minima", "L", "--node-budget", "-1")),
@@ -405,7 +419,7 @@ class TestExitCodes:
         (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
                 "--max-levels", "T")),
         ("T", ("minima", "L")),
-        (None, ("covering", "L", "--seed", "T")),
+        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--seed", "T")),
         (None, ("gen", "--seed", "T", "--n", "2", "--m", "2")),
         (None, ("gen", "--seed", "7", "--n", "T", "--m", "2")),
         (None, ("gen", "--seed", "7", "--n", "2", "--m", "T")),
@@ -437,8 +451,8 @@ FUZZ_FLAGS = {
     "reduce": (True, {"--kind": ["lll", "minkowski", "other"], "--delta": RATIONALS}),
     "svp": (True, {"--r2": RATIONALS, "--csv": None}),
     "cvp": (True, {"-x": VECTORS, "--project": None}),
-    "covering": (True, {"--restarts": ["0", "0", "-1"], "--seed": COUNTS}),
-    "transference": (True, {"--seed": COUNTS}),
+    "covering": (True, {}),
+    "transference": (True, {}),
     "hypothesis": (True, {"-x": VECTORS, "--delta": RATIONALS, "--r2": RATIONALS}),
     "round-dual": (True, {"-x": VECTORS}),
     "near-dual": (True, {"-x": VECTORS}),
@@ -454,7 +468,7 @@ FUZZ_FLAGS = {
     "gen": (False, {"--seed": COUNTS, "--n": COUNTS, "--m": COUNTS,
                     "--entry-bound": COUNTS, "--min-l1sq": RATIONALS}),
     "linear-almost-near": (False, {"--matrix": ["1 1", "1 0; 0 1", "1 2; 2 4", "1 2; 3", ";"],
-                                   "-b": VECTORS, "-x": VECTORS, "--seed": COUNTS}),
+                                   "-b": VECTORS, "-x": VECTORS}),
 }
 ALWAYS = {"--restarts", "--max-levels"}
 

@@ -448,7 +448,8 @@ class TestCoveringRadius:
 
     def test_heuristic_brackets_exact(self, mixed2, monkeypatch):
         monkeypatch.setattr(enumeration, "MINKOWSKI_MAX_RANK", 0)
-        got = covering_radius(mixed2, seed=3)
+        monkeypatch.setattr(enumeration, "ASCENT_SEED", 3)
+        got = covering_radius(mixed2)
         assert got.exact is False
         assert got.lower_sq <= F(17, 16) <= got.upper_sq
 
@@ -469,9 +470,10 @@ class TestCoveringRadius:
                             lambda rows, ncols: calls.append(ncols) or real(rows, ncols))
         counts = []
         for restarts in (1, 4):
+            monkeypatch.setattr(enumeration, "ASCENT_RESTARTS", restarts)
             calls.clear()
             L = parse_lattice_file(Path(__file__).parent / "golden" / "b7.txt")
-            assert covering_radius(L, restarts=restarts).exact is False
+            assert covering_radius(L).exact is False
             counts.append(len(calls))
         assert counts[0] == counts[1]
 

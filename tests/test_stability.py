@@ -603,9 +603,20 @@ class TestStabilityRadius:
         dist_sq = near_dual_vector(L, x).dist_sq
         assert dist_sq == F(303, 29584) and dist_sq > F(1, 100)
 
+    def test_rank_five_probe_reaches_the_exact_maximum_at_27(self):
+        """Started also from the dual's holes that the covering ascent finds, the
+        probe at r^2 = 27 reaches 303/29584, the exact maximum there, with a
+        witness feasible at 27; from the half-vectors alone it stopped at
+        23345/2396304, below 1/100, and the sweep reported 27 for 28."""
+        L = random_lattice(1, 5, 5, entry_bound=3)
+        f, w = probe_worst_distance(L, F(1, 4), 27)
+        assert f == F(303, 29584) > F(1, 100)
+        assert check_hypothesis(L, w, F(1, 4), 27).holds
+        assert near_dual_vector(L, w).dist_sq == f
+
     def test_start_order_does_not_matter(self, monkeypatch):
-        """Ties go to the least ambient witness, so the dual cell's vertices
-        given in reverse order change no sweep and no single probe."""
+        """Ties go to the least ambient witness, so the dual's holes (here the
+        cell's vertices) given in reverse order change no sweep and no single probe."""
         cfg = ProbeConfig(0, 4, 20)
 
         def results():
@@ -617,10 +628,17 @@ class TestStabilityRadius:
                     + [probe_worst_distance(L, F(1, 4), 4, cfg) for L in small])
 
         want = results()
-        real = stability._voronoi_vertex_data
-        monkeypatch.setattr(stability, "_voronoi_vertex_data",
-                            lambda Ld, budget: (real(Ld, budget)[0][::-1], *real(Ld, budget)[1:]))
+        real = stability._deep_holes
+        reversed_for = []
+
+        def reversed_holes(Ld, budget):
+            reversed_for.append(Ld)
+            pairs, *rest = real(Ld, budget)
+            return (pairs[::-1], *rest)
+
+        monkeypatch.setattr(stability, "_deep_holes", reversed_holes)
         assert [got == w for got, w in zip(results(), want)] == [True] * 7
+        assert len(reversed_for) == 7
 
     def test_backward_pass_lifts_a_level(self, monkeypatch):
         """Here the probe at r^2 = 34 finds less than the one at 36 does, and
@@ -642,14 +660,15 @@ class TestStabilityRadius:
         assert got.witnesses[i] == got.witnesses[i + 1] == raw[36][1]
 
     def test_rank_five_falls_back_to_lll(self):
-        """Above the Minkowski cap the sweep reduces by LLL, and the probe
-        starts from the single and the all-ones half-vectors, not the cell."""
+        """Above the Minkowski cap the sweep reduces by LLL, and the probe starts
+        from the covering ascent's end points and the single and all-ones
+        half-vectors, not from the cell's vertices."""
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         got = stability_radius(Lattice(rows), F(1, 4), F(1, 4), ProbeConfig(restarts=0),
                                max_levels=2)
         assert got.reduction_kind == "lll"
         assert got.radius_grid == (4, 16)
-        assert got.f_hat_sq == (F(5, 64), F(5, 1024))
+        assert got.f_hat_sq == (F(5, 64), F(1, 128))
 
     def test_levels_dropped(self, mixed2):
         # the norms 4a^2 + b^2/4 of mixed2 up to its sufficient radius^2 256
