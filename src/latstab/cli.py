@@ -14,7 +14,10 @@ parse, and resource errors exit 2.
 A command function takes the parsed arguments and the lattice (None for
 commands without a lattice argument) and returns (results, exit code, CSV
 rows or None). `main` builds the rest of the document: the lattice and the
-declared inputs, the seed and the declared budgets.
+declared inputs, the seed and the declared budgets. One option rule holds for
+every command: --node-budget exists exactly when "node_budget" is a declared
+budget and --restarts when "restarts" is; probe, stability-radius and family
+build their ProbeConfig from these and --seed in one place.
 """
 
 from __future__ import annotations
@@ -232,8 +235,7 @@ def _cmd_near_dual(args, L):
 
 
 def _probe_cfg(args) -> ProbeConfig:
-    return ProbeConfig(seed=args.seed, restarts=args.restarts,
-                       max_iters=args.max_iters, node_budget=args.node_budget)
+    return ProbeConfig(seed=args.seed, restarts=args.restarts, node_budget=args.node_budget)
 
 
 def _cmd_probe(args, L):
@@ -268,8 +270,7 @@ def _cmd_sharpness(args, L):
 
 def _cmd_family(args, _):
     fam = degenerate_family(args.c, args.d, delta=args.delta, epsilon_sq=args.epsilon_sq,
-                            cfg=ProbeConfig(seed=args.seed, restarts=args.restarts,
-                                            node_budget=args.node_budget))
+                            cfg=_probe_cfg(args))
     members = [{"scale": d.scale, "basis": d.lattice.basis, "minima_sq": d.minima_sq,
                 "dual_minima_sq": d.dual_minima_sq, "mu_dual_sq": d.mu_dual_sq,
                 "estimated_r_sq": d.probe.estimated_r_sq,
@@ -315,9 +316,8 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     def add(name, help_, func, *, inputs=(), budgets=("node_budget",), lattice=True,
             csv_ok=False, seeded=False):
         """A subcommand. `inputs` and `budgets` name the argument dests that
-        go into the document's "inputs" and "budgets"; a --node-budget option
-        exists exactly when "node_budget" is a budget, and --restarts/--iters
-        when "max_iters" is."""
+        go into the document's "inputs" and "budgets"; --node-budget exists
+        exactly when "node_budget" is a budget, and --restarts when "restarts" is."""
         p = sub.add_parser(name, help=help_, description=help_)
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (makes output non-deterministic)")
@@ -330,10 +330,8 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
                            help="enumeration node cap (env LATSTAB_NODE_BUDGET)")
         if seeded:
             p.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
-        if "max_iters" in budgets:
+        if "restarts" in budgets:
             p.add_argument("--restarts", type=_nonnegative, default=32, help="probe restarts")
-            p.add_argument("--iters", dest="max_iters", type=_positive, default=200,
-                           help="probe ascent iterations")
         p.set_defaults(func=func, inputs=inputs, budgets=budgets)
         return p
 
@@ -379,7 +377,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p.add_argument("-x", type=_vector, required=True)
 
     p = add("probe", "worst feasible distance to the dual at one radius", _cmd_probe,
-            inputs=("delta", "radius_sq"), budgets=("node_budget", "restarts", "max_iters"),
+            inputs=("delta", "radius_sq"), budgets=("node_budget", "restarts"),
             seeded=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--r2", dest="radius_sq", type=_rational, required=True)
@@ -387,7 +385,7 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
     p = add("stability-radius", "probe the whole radius grid and report where the "
                                 "worst distance falls below epsilon", _cmd_stability_radius,
             inputs=("delta", "epsilon_sq"),
-            budgets=("node_budget", "restarts", "max_iters", "max_levels"),
+            budgets=("node_budget", "restarts", "max_levels"),
             csv_ok=True, seeded=True)
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--eps2", dest="epsilon_sq", type=_rational, required=True,
@@ -407,7 +405,6 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
                    help="comma separated scales, e.g. 1,10,100")
     p.add_argument("--delta", type=_rational, default=Fraction(1, 4))
     p.add_argument("--eps2", dest="epsilon_sq", type=_rational, default=Fraction(1, 100))
-    p.add_argument("--restarts", type=_nonnegative, default=32)
 
     p = add("gen", "seeded random integer basis", _cmd_gen,
             inputs=("n", "m", "entry_bound", "min_lambda1_sq"), budgets=(), lattice=False,

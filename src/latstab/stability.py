@@ -25,6 +25,7 @@ from .enumeration import (
     NearResult,
     _closest,
     _deep_holes,
+    _prep,
     closest_vector,
     covering_radius,
     list_vectors,
@@ -35,19 +36,19 @@ from .errors import (BudgetExceeded, CertificationFailed, DependentRows, Dimensi
                      SingularMatrix)
 from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
 from .linalg import Mat, Vec, _lowest, as_mat, as_vec
-from .reduction import MINKOWSKI_MAX_RANK, lll, minkowski_reduce
+from .reduction import MINKOWSKI_MAX_RANK, minkowski_reduce
 from .rng import SplitMix64
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 POWER_ITERS = 24  # power-iteration steps of the display-only sigma_min estimate
+ASCENT_CAP = 200  # points one probe ascent visits at most; it only guarantees an end
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
     seed: int = 0
     restarts: int = 32
-    max_iters: int = 200
     node_budget: int = DEFAULT_NODE_BUDGET
 
 
@@ -350,12 +351,12 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     branched to the nearest integer per constraint, repaired onto the slab
     faces by least squares in the metric of the dual (the ambient nearest
     point, as it lies in span(L)), then pushed away from its nearest dual
-    point until a slab face blocks, all in integers. The starts (the dual's
-    holes from _deep_holes, the half-vectors, and cfg.restarts seeded points)
-    are made once, and each level's best point joins them for the later levels.
-    Each level's answer starts at (0, origin), feasible and on the dual, so
-    the probe never fails; ties go to the least ambient witness, so the
-    order of the starts does not matter.
+    point until a slab face blocks or ASCENT_CAP points are visited, all in
+    integers. The starts (the dual's holes from _deep_holes, the half-vectors
+    and cfg.restarts seeded points) are made once, and each level's best point
+    joins them for the later levels. Each level's answer starts at (0, origin),
+    feasible and on the dual, so the probe never fails; ties go to the least
+    ambient witness, so the order of the starts does not matter.
 
     Two tables live for one sweep, not on L: each point's slab scan (the rows
     read, the echelon, rows and face targets of the violated rows chosen, and
@@ -449,12 +450,12 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     def local_max(p0):
         """Ascend from the repaired p0 to the farthest push candidate while it
         is farther than the current point: the distance rises at every step,
-        so the last point is the best. It visits at most max_iters points."""
-        p = repair(p0) if cfg.max_iters > 0 else None
+        so the last point is the best. It visits at most ASCENT_CAP points."""
+        p = repair(p0)
         if p is None:
             return None
         near = closest(p)
-        for _ in range(cfg.max_iters - 1):
+        for _ in range(ASCENT_CAP - 1):
             if not near[0]:
                 break
             top = max(((closest(c), c) for c in push(p, near[1])),
@@ -499,8 +500,6 @@ class StabilityProbe:
     f_hat_sq: tuple[Fraction, ...]
     witnesses: tuple[Vec, ...]
     estimated_r_sq: Fraction
-    seed: int
-    restarts: int
     base_radius_sq: Fraction      # max ||v_i||^2 over the reduced basis
     base_bound_sq: Fraction       # delta^2 * m * sum ||w_i||^2 at that radius
     sufficient_radius_sq: Fraction  # scaled level whose bound drops below epsilon^2
@@ -543,10 +542,12 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     if max_levels < 1:
         raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     m = L.rank
-    red = minkowski_reduce(L, node_budget=cfg.node_budget) if m <= MINKOWSKI_MAX_RANK else lll(L)
-    V = red.basis  # its dual rows W solve gram(V) W = V
+    # a reduced basis V, whose dual rows W solve gram(V) W = V; above the cap, the
+    # LLL rows that the searches run on, which are the rows lll(L) gives
+    V, kind = ((minkowski_reduce(L, node_budget=cfg.node_budget).basis, "minkowski")
+               if m <= MINKOWSKI_MAX_RANK else (_prep(L).rows, "lll"))
     sum_w = sum((linalg.norm_sq(w) for w in linalg.solve_matrix(linalg.gram(V), V)), Fraction(0))
-    base_radius_sq = max(red.norms_sq)
+    base_radius_sq = max(linalg.norm_sq(v) for v in V)
     base_bound_sq = delta * delta * m * sum_w
     K = max(1, linalg.ceil_sqrt(base_bound_sq / epsilon_sq))
     suff_radius_sq = K * K * base_radius_sq
@@ -581,14 +582,12 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
         f_hat_sq=f_hats,
         witnesses=witnesses,
         estimated_r_sq=estimated,
-        seed=cfg.seed,
-        restarts=cfg.restarts,
         base_radius_sq=base_radius_sq,
         base_bound_sq=base_bound_sq,
         sufficient_radius_sq=suff_radius_sq,
         sufficient_bound_sq=suff_bound_sq,
         scaling_steps=K,
-        reduction_kind=red.kind,
+        reduction_kind=kind,
         levels_dropped=levels_dropped,
     )
 

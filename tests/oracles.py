@@ -455,10 +455,11 @@ def same_lattice(B1, B2) -> bool:
 
 
 def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
-                                   *, extra_starts=(), _constraints=None):
+                                   *, max_iters: int = 200, extra_starts=(), _constraints=None):
     """probe_worst_distance with every slab test an ambient Fraction dot
     product and every independence test a full rank: the same starts, moves
-    and tie-breaks, so the result must be identical."""
+    and tie-breaks, so the result must be identical. An ascent visits at most
+    max_iters points, the probe's ASCENT_CAP."""
     cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
     radius_sq = linalg.as_rational(radius_sq)
@@ -524,7 +525,7 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
         if x is None:
             return None
         best: tuple[Fraction, Vec] | None = None
-        for _ in range(cfg.max_iters):
+        for _ in range(max_iters):
             near = closest_vector(Ld, x, node_budget=cfg.node_budget)
             f = near.dist_sq
             if best is not None and f <= best[0]:

@@ -301,10 +301,13 @@ class TestExitCodes:
         ("covering", "L", "--restarts", "3"),
         ("transference", "L", "--seed", "1"),
         ("linear-almost-near", "--matrix", "1 1", "-b", "1", "-x", "3/5 3/5", "--seed", "1"),
+        ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "5"),
+        ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100", "--iters", "5"),
     ])
     def test_no_seed_where_it_changes_no_exact_number(self, run, mixed_file, argv):
-        """The covering ascent's seed and restarts are fixed, and the power
-        iteration's seed moves only a display float: these options are gone."""
+        """The covering ascent's seed and restarts and the probe's ascent cap
+        are fixed, and the power iteration's seed moves only a display float:
+        these options are gone."""
         code, out, err = run(*[mixed_file if a == "L" else a for a in argv])
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -393,7 +396,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("budget_env, argv", [
         (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
                 "--max-levels", "0")),
-        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "0")),
+        (None, ("family", "--node-budget", "0")),
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "-1")),
         (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
                 "--restarts", "-1")),
@@ -414,7 +417,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("token", ["\u0662", "1_0", " 3"])
     @pytest.mark.parametrize("budget_env, argv", [
         (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--restarts", "T")),
-        (None, ("probe", "L", "--delta", "1/4", "--r2", "4", "--iters", "T")),
+        (None, ("family", "--restarts", "T")),
         (None, ("minima", "L", "--node-budget", "T")),
         (None, ("stability-radius", "L", "--delta", "1/4", "--eps2", "1/100",
                 "--max-levels", "T")),
@@ -456,8 +459,7 @@ FUZZ_FLAGS = {
     "hypothesis": (True, {"-x": VECTORS, "--delta": RATIONALS, "--r2": RATIONALS}),
     "round-dual": (True, {"-x": VECTORS}),
     "near-dual": (True, {"-x": VECTORS}),
-    "probe": (True, {"--delta": RATIONALS, "--r2": RATIONALS, "--restarts": ["0", "0", "-1"],
-                     "--iters": COUNTS}),
+    "probe": (True, {"--delta": RATIONALS, "--r2": RATIONALS, "--restarts": ["0", "0", "-1"]}),
     "stability-radius": (True, {"--delta": RATIONALS, "--eps2": RATIONALS,
                                 "--restarts": ["0"], "--max-levels": ["1", "0", "-1"],
                                 "--csv": None}),

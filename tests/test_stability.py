@@ -361,23 +361,23 @@ class TestProbeMatchesFractionReference:
     """The integer slab tests and the incremental independence test in the
     probe make exactly the moves of the all-Fraction reference."""
 
-    def test_seeded_lattices(self, mixed2):
+    def test_seeded_lattices(self, mixed2, monkeypatch):
         # the last two are bases of the radius-sweep benchmark's kind; an
         # ascent capped at one or two points stops where the reference does
         lattices = ([mixed2] + seeded_lattices(4040, 8, n_max=3, entry_bound=3)
                     + [random_lattice(s, 3, 3, min_lambda1_sq=16) for s in (1001, 2003)])
         deltas = [F(0), F(1, 5), F(1, 4), F(3, 10)]
-        cfgs = [FAST, ProbeConfig(seed=0, restarts=8, max_iters=1),
-                ProbeConfig(seed=0, restarts=8, max_iters=2)]
+        caps = (stability.ASCENT_CAP, 1, 2)
         for i, L in enumerate(lattices):
             top = 4 * max(linalg.norm_sq(r) for r in L.basis)
             norms = sorted({nsq for _, nsq in list_vectors(L, top)})
             for j, r2 in enumerate((norms[0], norms[min(2, len(norms) - 1)])):
                 delta = deltas[(i + j) % len(deltas)]
-                for cfg in cfgs:
-                    want = reference_probe_worst_distance(L, delta, r2, cfg)
-                    assert probe_worst_distance(L, delta, r2, cfg) == want, \
-                        (L.basis, delta, r2, cfg.max_iters)
+                for cap in caps:
+                    monkeypatch.setattr(stability, "ASCENT_CAP", cap)
+                    want = reference_probe_worst_distance(L, delta, r2, FAST, max_iters=cap)
+                    assert probe_worst_distance(L, delta, r2, FAST) == want, \
+                        (L.basis, delta, r2, cap)
 
     def test_rank_four_golden_and_rank_five(self):
         """r4.txt starts from the 120 vertices of its dual cell; 2 I_5 lies
@@ -414,7 +414,7 @@ class TestProbeMatchesFractionReference:
         sweeps = []
 
         def recorded(L, delta, C, levels, cfg):
-            sweeps.append((L, delta, [r2 for r2, _ in levels], cfg, []))
+            sweeps.append((L, delta, [r2 for r2, _ in levels], cfg, stability.ASCENT_CAP, []))
             for got in real(L, delta, C, levels, cfg):
                 sweeps[-1][-1].append(got)
                 yield got
@@ -426,9 +426,12 @@ class TestProbeMatchesFractionReference:
             stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=4)
         # on these, a repair step taken from fewer than m violated rows and kept
         # after a later level's rows complete the choice goes wrong at some level
-        for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
-            stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta, F(1, 100),
-                             ProbeConfig(seed=0, restarts=4, max_iters=20), max_levels=12)
+        # and with ascents capped at 20 points
+        with monkeypatch.context() as capped:
+            capped.setattr(stability, "ASCENT_CAP", 20)
+            for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
+                stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta, F(1, 100),
+                                 ProbeConfig(seed=0, restarts=4), max_levels=12)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         stability_radius(Lattice(rows), F(1, 4), F(1, 4), FAST, max_levels=2)
         r4 = parse_lattice_file(GOLDEN / "r4.txt")
@@ -438,12 +441,13 @@ class TestProbeMatchesFractionReference:
                                      [(r2, bisect_right(norms, r2)) for r2 in sorted(set(norms))],
                                      ProbeConfig(restarts=0)))
         assert {L.rank for L, *_ in sweeps} == {2, 3, 4, 5}
-        for L, delta, radii, cfg, got in sweeps:
+        assert {cap for *_, cap, _ in sweeps} == {20, stability.ASCENT_CAP}
+        for L, delta, radii, cfg, cap, got in sweeps:
             assert len(got) == len(radii) > 1
             for i, r2 in enumerate(radii):
                 earlier = tuple(w for _, w in got[:i])
-                assert got[i] == reference_probe_worst_distance(L, delta, r2, cfg,
-                                                                extra_starts=earlier), (L.basis, r2)
+                assert got[i] == reference_probe_worst_distance(
+                    L, delta, r2, cfg, max_iters=cap, extra_starts=earlier), (L.basis, r2)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24)
@@ -616,8 +620,10 @@ class TestStabilityRadius:
 
     def test_start_order_does_not_matter(self, monkeypatch):
         """Ties go to the least ambient witness, so the dual's holes (here the
-        cell's vertices) given in reverse order change no sweep and no single probe."""
-        cfg = ProbeConfig(0, 4, 20)
+        cell's vertices) given in reverse order change no sweep and no single probe,
+        with ascents capped at 20 points."""
+        monkeypatch.setattr(stability, "ASCENT_CAP", 20)
+        cfg = ProbeConfig(seed=0, restarts=4)
 
         def results():
             small = [Lattice(linalg.as_mat(B))
@@ -659,13 +665,21 @@ class TestStabilityRadius:
         assert got.f_hat_sq[i] == raw[36][0] == F(1, 144)
         assert got.witnesses[i] == got.witnesses[i + 1] == raw[36][1]
 
-    def test_rank_five_falls_back_to_lll(self):
+    def test_rank_five_falls_back_to_lll(self, monkeypatch):
         """Above the Minkowski cap the sweep reduces by LLL, and the probe starts
         from the covering ascent's end points and the single and all-ones
-        half-vectors, not from the cell's vertices."""
+        half-vectors, not from the cell's vertices. The sweep's LLL basis is the
+        one the searches hold, so LLL runs once on L and once on its dual."""
+        from latstab import reduction
+
+        calls = []
+        real = reduction._lll_rows
+        monkeypatch.setattr(enumeration, "_lll_rows", lambda B, d: calls.append(B) or real(B, d))
+        monkeypatch.setattr(reduction, "_lll_rows", enumeration._lll_rows)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
-        got = stability_radius(Lattice(rows), F(1, 4), F(1, 4), ProbeConfig(restarts=0),
-                               max_levels=2)
+        L = Lattice(rows)
+        got = stability_radius(L, F(1, 4), F(1, 4), ProbeConfig(restarts=0), max_levels=2)
+        assert sorted(map(id, calls)) == sorted((id(L.basis), id(dual(L).basis)))
         assert got.reduction_kind == "lll"
         assert got.radius_grid == (4, 16)
         assert got.f_hat_sq == (F(5, 64), F(1, 128))
