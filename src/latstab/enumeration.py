@@ -288,46 +288,51 @@ def _covering_upper_sq(L: Lattice, node_budget: int) -> Fraction:
     return min(Fraction(L.rank ** 2, 4) * lam_m_sq, _prep(L).plane_sq)
 
 
-@per_lattice
+def _cut(cell: list, A: tuple[int, ...], h: int) -> list:
+    """The symmetric cell cut to |2 A . X| <= h q, one step of double description
+    (Motzkin et al. 1953) on vertices xi = X / q kept as (X, q, tight), tight the signed
+    integer normals of the faces s 2 A' . X <= h' q the vertex lies on. Outside p and inside
+    r span an edge iff the normals tight at both have rank m - 1 (Fukuda-Prodon 1996), and
+    it meets the face at an integer combination of p and r in lowest terms. A alone cuts:
+    the vertices on the face of -A are the new vertices' mirrors (-X, q)."""
+    m, neg = len(A), tuple(-a for a in A)
+    vals = [(2 * sum(map(mul, A, X)), h * q) for X, q, _ in cell]
+    outer = [(p, ax - hq) for p, (ax, hq) in zip(cell, vals) if ax > hq]
+    inner = [(r, ax - hq) for r, (ax, hq) in zip(cell, vals) if ax < hq]
+    new = []
+    for (p, gp), (r, gr) in product(outer, inner):
+        common = p[2] & r[2]
+        if len(common) >= m - 1 and len(linalg._eliminate(list(common), m)[0]) == m - 1:
+            new.append((*_lowest([gp * y - gr * x for x, y in zip(p[0], r[0])],
+                                 gp * r[1] - gr * p[1]), common | {A}))
+    cell = [(X, q, tight | {A} if ax == hq else tight | {neg} if ax == -hq else tight)
+            for (X, q, tight), (ax, hq) in zip(cell, vals) if abs(ax) <= hq]
+    return cell + new + [(tuple(-x for x in X), q, frozenset(tuple(-a for a in b) for b in tight))
+                         for X, q, tight in new]
+
+
 def _voronoi_vertex_data(L: Lattice, node_budget: int) -> tuple:
     """Vertices of the Voronoi cell of the origin as coordinates X / q in L's
     basis, pairs (X, q) in lowest terms, the exact squared covering radius,
-    and the witness vertex in ambient coordinates. Kept on L, so every probe
-    level and covering radius of one run shares one cell (see _deep_holes)."""
+    and the witness vertex in ambient coordinates. Built per call; _deep_holes keeps it."""
     m = L.rank
     if m > MINKOWSKI_MAX_RANK:
         raise RankTooLarge(f"exact covering radius capped at rank {MINKOWSKI_MAX_RANK}, got {m}")
     G = L.gram_matrix
     Gz, D = linalg.clear_denominators(G)
-    # Double description (Motzkin et al. 1953) on vertices xi = X / q, x = xi B: a listed
-    # c gives the faces s 2 A . X <= h q, A = c Gz, h = A . c, s = +-1, tagged (c, s). The
-    # minima's faces bound a parallelepiped holding the cell, and every relevant vector lies
-    # within 2 mu (Voronoi 1908), so the listing cuts it down. Outside p and inside r span an
-    # edge iff no third vertex is tight on every face both are on (Fukuda-Prodon 1996). The cell
-    # stays symmetric under xi -> -xi: (c, 1) alone cuts, and (c, -1) mirrors the new vertices.
+    # The minima's faces bound a parallelepiped holding the cell, and every relevant vector lies
+    # within 2 mu (Voronoi 1908), so a listed c cuts it down by _cut at A = c Gz, h = A . c.
     mins = successive_minima(L, node_budget=node_budget)
     signs = tuple(product((1, -1), repeat=m))
     rhs = tuple(tuple(s[i] * h / 2 for s in signs) for i, h in enumerate(mins.minima_sq))
     X = linalg.solve_matrix(linalg.mat_mul(as_mat(mins.achieving_vectors), G), rhs)
-    cell = [(*_scaled(xi), frozenset(zip(mins.achieving_vectors, s)))
+    normals = [tuple(sum(map(mul, c, row)) for row in Gz) for c in mins.achieving_vectors]
+    cell = [(*_scaled(xi), frozenset(tuple(si * a for a in A) for A, si in zip(normals, s)))
             for xi, s in zip(zip(*X), signs)]
     mu_ub_sq = _covering_upper_sq(L, node_budget)
     for c, _ in list_vectors(L, 4 * mu_ub_sq, node_budget=node_budget).vectors:
-        A = [sum(map(mul, c, row)) for row in Gz]
-        h = sum(map(mul, A, c))
-        vals = [(2 * sum(map(mul, A, X)), h * q) for X, q, _ in cell]
-        outer = [(p, ax - hq) for p, (ax, hq) in zip(cell, vals) if ax > hq]
-        inner = [(r, ax - hq) for r, (ax, hq) in zip(cell, vals) if ax < hq]
-        new = []
-        for (p, gp), (r, gr) in product(outer, inner):
-            common = p[2] & r[2]
-            if not any(common <= v[2] for v in cell if v is not p and v is not r):
-                new.append((*_lowest([gp * y - gr * x for x, y in zip(p[0], r[0])],
-                                     gp * r[1] - gr * p[1]), common | {(c, 1)}))
-        cell = [(X, q, tight | {(c, 1)} if ax == hq else tight | {(c, -1)} if ax == -hq else tight)
-                for (X, q, tight), (ax, hq) in zip(cell, vals) if abs(ax) <= hq]
-        cell += new + [(tuple(-x for x in X), q, frozenset((b, -s) for b, s in tight))
-                       for X, q, tight in new]
+        A = tuple(sum(map(mul, c, row)) for row in Gz)
+        cell = _cut(cell, A, sum(map(mul, A, c)))
     verts = sorted((tuple(Fraction(a, q) for a in X), X, q) for X, q, _ in cell)
     norms = [Fraction(sum(map(mul, X, (sum(map(mul, X, row)) for row in Gz))), D * q * q)
              for _, X, q in verts]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from latstab import CertificationFailed, DependentRows, Lattice, ProbeConfig, SingularMatrix, dual
 from latstab import linalg
@@ -394,6 +395,28 @@ def reference_voronoi_vertex_data(L: Lattice, node_budget: int = 10_000_000):
         if vsq > best_sq or (vsq == best_sq and (not witness or x > witness)):
             best_sq, witness = vsq, x
     return tuple(linalg._scaled(xi) for xi in sorted(vertices)), best_sq, witness
+
+
+def reference_cut(cell: list, A: tuple[int, ...], h: int) -> list:
+    """enumeration._cut with the combinatorial edge test it replaced: outside p
+    and inside r span an edge iff no third vertex of the cell is tight on every
+    face both are tight on (Fukuda-Prodon 1996). The result must be identical,
+    tight sets and order included."""
+    neg = tuple(-a for a in A)
+    vals = [(2 * sum(map(mul, A, X)), h * q) for X, q, _ in cell]
+    outer = [(p, ax - hq) for p, (ax, hq) in zip(cell, vals) if ax > hq]
+    inner = [(r, ax - hq) for r, (ax, hq) in zip(cell, vals) if ax < hq]
+    new = []
+    for (p, gp), (r, gr) in product(outer, inner):
+        common = p[2] & r[2]
+        if not any(common <= v[2] for v in cell if v is not p and v is not r):
+            new.append((*linalg._lowest([gp * y - gr * x for x, y in zip(p[0], r[0])],
+                                        gp * r[1] - gr * p[1]), common | {A}))
+    cell = [(X, q, tight | {A} if ax == hq else tight | {neg} if ax == -hq else tight)
+            for (X, q, tight), (ax, hq) in zip(cell, vals) if abs(ax) <= hq]
+    cell += new + [(tuple(-x for x in X), q, frozenset(tuple(-a for a in b) for b in tight))
+                   for X, q, tight in new]
+    return cell
 
 
 def cell_vertices(L: Lattice, pairs) -> tuple[Vec, ...]:

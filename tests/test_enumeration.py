@@ -27,7 +27,7 @@ from latstab.generate import random_lattice
 from conftest import seeded_lattices
 from oracles import (babai_rounding_sq, box_closest, box_minima, box_vectors, cell_vertices,
                      gs_fractions, reference_closest_vector, reference_gram_schmidt,
-                     reference_se_scan, reference_voronoi_vertex_data)
+                     reference_cut, reference_se_scan, reference_voronoi_vertex_data)
 
 
 class TestListVectors:
@@ -342,16 +342,16 @@ class TestCoveringRadius:
             covering_radius(L)
 
     def test_cell_cached_per_lattice_and_immutable(self, z2):
-        first = enumeration._voronoi_vertex_data(z2, 10_000)
+        first = enumeration._deep_holes(z2, 10_000)
         assert isinstance(first[0], tuple)
-        assert enumeration._voronoi_vertex_data(z2, 10_000) is first
+        assert enumeration._deep_holes(z2, 10_000) is first
 
     def test_cell_over_budget_is_not_kept(self, z2):
         with pytest.raises(BudgetExceeded):
-            enumeration._voronoi_vertex_data(z2, 1)
-        first = enumeration._voronoi_vertex_data(z2, 10_000)
+            enumeration._deep_holes(z2, 1)
+        first = enumeration._deep_holes(z2, 10_000)
         # a kept cell is returned whatever budget a later call passes
-        assert enumeration._voronoi_vertex_data(z2, 1) is first
+        assert enumeration._deep_holes(z2, 1) is first
 
     @pytest.mark.parametrize("rows, pairs, count, mu_sq", [
         (((1, 0), (0, 1)), 2, 4, F(1, 2)),
@@ -481,3 +481,60 @@ class TestCoveringRadius:
         """The rank chooses the method; a method passed by position is refused."""
         with pytest.raises(TypeError):
             covering_radius(z2, "exact")
+
+
+@pytest.fixture
+def checked_cuts(monkeypatch):
+    """Every cut of a cell is also made by the reference's scan over the whole
+    cell and must come out identical; the list of the cuts' results."""
+    cuts, real = [], enumeration._cut
+
+    def checked(cell, A, h):
+        got = real(cell, A, h)
+        assert got == reference_cut(cell, A, h), (A, h)
+        cuts.append(got)
+        return got
+    monkeypatch.setattr(enumeration, "_cut", checked)
+    return cuts
+
+
+class TestCut:
+    def test_square_cut_by_a_diagonal(self):
+        """|x|, |y| <= 1 cut to |x + y| <= 3/2: the corners (1, 1) and (-1, -1)
+        go, each of their two edges gives a vertex tight on its side and the
+        diagonal, and the corners (1, -1), (-1, 1) keep their two normals."""
+        e1, e2, m1, m2 = (1, 0), (0, 1), (-1, 0), (0, -1)
+        square = [((1, 1), 1, frozenset({e1, e2})), ((1, -1), 1, frozenset({e1, m2})),
+                  ((-1, 1), 1, frozenset({m1, e2})), ((-1, -1), 1, frozenset({m1, m2}))]
+        got = enumeration._cut(square, (1, 1), 3)
+        assert len(got) == 6 and set(got) == {
+            ((1, -1), 1, frozenset({e1, m2})), ((-1, 1), 1, frozenset({m1, e2})),
+            ((2, 1), 2, frozenset({e1, (1, 1)})), ((1, 2), 2, frozenset({e2, (1, 1)})),
+            ((-2, -1), 2, frozenset({m1, (-1, -1)})), ((-1, -2), 2, frozenset({m2, (-1, -1)}))}
+        assert got == reference_cut(square, (1, 1), 3)
+
+    def test_seeded_cells_cut_as_the_scan_does(self, checked_cuts):
+        """Ranks 1 to 4, on both sides of each lattice."""
+        ranks = set()
+        for L in seeded_lattices(3303, 12, n_max=4, entry_bound=3):
+            for K in (L, dual(L)):
+                enumeration._voronoi_vertex_data(K, DEFAULT_NODE_BUDGET)
+                ranks.add(K.rank)
+        assert ranks == {1, 2, 3, 4} and len(checked_cuts) > 100
+
+    @pytest.mark.parametrize("name, rows, count", [
+        ("Z5", [[int(i == j) for j in range(5)] for i in range(5)], 32),
+        ("D5", [[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, -1],
+                [0, 0, 0, 1, 1]], 42),
+        ("A5", [[int(j == i) - int(j == i + 1) for j in range(6)] for i in range(5)], 62),
+        ("random_lattice(7, 5, 5)", None, 720),
+    ])
+    def test_rank_five_cells_cut_as_the_scan_does(self, name, rows, count, checked_cuts,
+                                                  monkeypatch):
+        """With the cap raised to 5; every vertex is tight on normals of rank 5."""
+        monkeypatch.setattr(enumeration, "MINKOWSKI_MAX_RANK", 5)
+        L = random_lattice(7, 5, 5) if rows is None else Lattice(linalg.as_mat(rows))
+        pairs = enumeration._voronoi_vertex_data(L, DEFAULT_NODE_BUDGET)[0]
+        assert len(pairs) == len(checked_cuts[-1]) == count
+        assert all(len(linalg._eliminate(list(tight), 5)[0]) == 5
+                   for *_, tight in checked_cuts[-1])

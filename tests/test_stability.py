@@ -425,13 +425,14 @@ class TestProbeMatchesFractionReference:
             L = random_lattice(seed, n, m, entry_bound=3)
             stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=4)
         # on these, a repair step taken from fewer than m violated rows and kept
-        # after a later level's rows complete the choice goes wrong at some level
-        # and with ascents capped at 20 points
-        with monkeypatch.context() as capped:
-            capped.setattr(stability, "ASCENT_CAP", 20)
-            for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
-                stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta, F(1, 100),
-                                 ProbeConfig(seed=0, restarts=4), max_levels=12)
+        # after a later level's rows complete the choice goes wrong at some level,
+        # both with ascents uncapped and capped at 1 point, the repaired start
+        for cap in (stability.ASCENT_CAP, 1):
+            with monkeypatch.context() as capped:
+                capped.setattr(stability, "ASCENT_CAP", cap)
+                for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
+                    stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta,
+                                     F(1, 100), ProbeConfig(seed=0, restarts=4), max_levels=12)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         stability_radius(Lattice(rows), F(1, 4), F(1, 4), FAST, max_levels=2)
         r4 = parse_lattice_file(GOLDEN / "r4.txt")
@@ -441,7 +442,11 @@ class TestProbeMatchesFractionReference:
                                      [(r2, bisect_right(norms, r2)) for r2 in sorted(set(norms))],
                                      ProbeConfig(restarts=0)))
         assert {L.rank for L, *_ in sweeps} == {2, 3, 4, 5}
-        assert {cap for *_, cap, _ in sweeps} == {20, stability.ASCENT_CAP}
+        assert {cap for *_, cap, _ in sweeps} == {1, stability.ASCENT_CAP}
+        # the cap binds: some capped sweep finds less than the same sweep uncapped
+        runs = {(L.basis, delta, cap): got for L, delta, _, _, cap, got in sweeps}
+        assert any(got != runs[B, delta, stability.ASCENT_CAP]
+                   for (B, delta, cap), got in runs.items() if cap == 1)
         for L, delta, radii, cfg, cap, got in sweeps:
             assert len(got) == len(radii) > 1
             for i, r2 in enumerate(radii):
@@ -621,19 +626,22 @@ class TestStabilityRadius:
     def test_start_order_does_not_matter(self, monkeypatch):
         """Ties go to the least ambient witness, so the dual's holes (here the
         cell's vertices) given in reverse order change no sweep and no single probe,
-        with ascents capped at 20 points."""
-        monkeypatch.setattr(stability, "ASCENT_CAP", 20)
+        with ascents uncapped and capped at 1 point, the repaired start. The cap
+        binds: on the last small basis the capped sweep finds less."""
         cfg = ProbeConfig(seed=0, restarts=4)
 
         def results():
-            small = [Lattice(linalg.as_mat(B))
-                     for B in ([[1, 0], [0, 1]], [[1, 0], [0, 10]], [[2, 1], [1, 3]])]
+            small = [Lattice(linalg.as_mat(B)) for B in
+                     ([[1, 0], [0, 1]], [[1, 0], [0, 10]], [[2, 1], [1, 3]], [[1, -3], [2, 5]])]
             mixed = parse_lattice_file(GOLDEN / "mixed.txt")
             return ([stability_radius(L, F(1, 4), F(1, 100), cfg, max_levels=12) for L in small]
                     + [stability_radius(mixed, F(1, 4), F(1, 100), cfg, max_levels=8)]
                     + [probe_worst_distance(L, F(1, 4), 4, cfg) for L in small])
 
-        want = results()
+        want = {stability.ASCENT_CAP: results()}
+        monkeypatch.setattr(stability, "ASCENT_CAP", 1)
+        want[1] = results()
+        assert [a == b for a, b in zip(*want.values())] == [True] * 3 + [False] + [True] * 5
         real = stability._deep_holes
         reversed_for = []
 
@@ -643,8 +651,10 @@ class TestStabilityRadius:
             return (pairs[::-1], *rest)
 
         monkeypatch.setattr(stability, "_deep_holes", reversed_holes)
-        assert [got == w for got, w in zip(results(), want)] == [True] * 7
-        assert len(reversed_for) == 7
+        for cap, results_at_cap in want.items():
+            monkeypatch.setattr(stability, "ASCENT_CAP", cap)
+            assert [got == w for got, w in zip(results(), results_at_cap)] == [True] * 9
+        assert len(reversed_for) == 18
 
     def test_backward_pass_lifts_a_level(self, monkeypatch):
         """Here the probe at r^2 = 34 finds less than the one at 36 does, and
