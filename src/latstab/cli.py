@@ -300,8 +300,8 @@ def _cmd_linear(args, _):
         "y", "residual_norm_sq", "correction_norm_sq", "sigma_min_sq_lower")}
     results["display"] = {"y": rep.y, "residual": sqrt(rep.residual_norm_sq),
                           "correction": sqrt(rep.correction_norm_sq),
-                          "sigma_min_lower": rep.sigma_min_lower,
-                          "sigma_min_estimate": rep.sigma_min_estimate}
+                          "sigma_min_lower": sqrt(float(rep.sigma_min_sq_lower)),
+                          "sigma_min_estimate": sqrt(1.0 / float(rep.inv_sigma_min_sq_estimate))}
     return results, EXIT_OK, None
 
 

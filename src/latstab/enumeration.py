@@ -1,15 +1,15 @@
 """Exact lattice point enumeration and the quantities built on it.
 
 All searches walk a depth-first tree over Gram-Schmidt coordinates of an
-LLL-reduced working basis (Schnorr-Euchner ordering: candidates at each
-level leave the interval center outward, nearer side first). The scan runs
-on integers: the Gram-Schmidt data of each lattice comes from integral
-LLL (de Weger 1987; Cohen Alg. 2.6.7), reduced once to the least integers,
-and the target is scaled once by its common denominator q, so every bound
-test is an exact integer comparison at the common scale S q^2: the scan
-neither reads nor builds a Fraction, each reported number is built once, and
-floats never enter. A node budget caps the tree walk and raising
-BudgetExceeded is the only way a search gives up.
+LLL-reduced working basis in Schnorr-Euchner order: a level's candidates leave
+the center outward, nearer side first, and it ends at its first candidate past
+the bound. The scan runs on integers: the Gram-Schmidt data of each lattice
+comes from integral LLL (de Weger 1987; Cohen Alg. 2.6.7), reduced once to the
+least integers, and the target is scaled once by its common denominator q, so
+every bound test is an exact integer comparison at the common scale S q^2: the
+scan neither reads nor builds a Fraction, each reported number is built once,
+and floats never enter. A node is one candidate tested; a node budget caps the
+tree walk and raising BudgetExceeded is the only way a search gives up.
 """
 
 from __future__ import annotations
@@ -122,58 +122,40 @@ def _se_scan(prep: _Prep, t: tuple, lim: list[int], on_leaf, budget: _Budget) ->
     leaf's integer N(c) to on_leaf(c, N). The limit is an integer at the scale
     S q^2 (a rational bound r enters as floor(r S q^2)); it may shrink inside
     on_leaf, and ties at it are still visited. No Fraction is read or built.
+    A level tests c0 = round(center), then the nearer of the next candidates
+    above and below, the upper on a tie, one tick per candidate (a node), and
+    ends at the first past lim[0]: the sides' terms grow outward, the nearer
+    goes first and lim[0] only shrinks, so every later candidate is past it.
 
     The target comes scaled, t = (T, q) for the working coordinates T / q
     with q > 0: center_i = Cn_i / (q e_i), e_i = M[i][i], for the integer
     Cn_i = T_i e_i + sum_{j>i} (T_j - c_j q) M[j][i], and each term of N(c)
     is the integer (c_i q e_i - Cn_i)^2 w_i."""
-    M, w = prep.M, prep.w
+    M, w, (T, q) = prep.M, prep.w, t
     m = len(M)
-    T, q = t
     c = [0] * m
-
-    def descend(i: int, partial: int, ci: int, contrib: int):
-        c[i] = ci
-        if i == 0:
-            on_leaf(tuple(c), partial + contrib)
-        else:
-            level(i - 1, partial + contrib)
 
     def level(i: int, partial: int):
         ei, wi = M[i][i], w[i]
         qe, Cn = q * ei, T[i] * ei
         for j in range(i + 1, m):
             Cn += (T[j] - c[j] * q) * M[j][i]
-        c0 = _round_half_even(Cn, qe)
-        d0 = c0 * qe - Cn
-        budget.tick()
-        contrib = d0 * d0 * wi
-        if partial + contrib > lim[0]:
-            return
-        descend(i, partial, c0, contrib)
-        up, dn = c0 + 1, c0 - 1
-        d_up, d_dn = d0 + qe, d0 - qe
-        up_c, dn_c = d_up * d_up * wi, d_dn * d_dn * wi
-        up_alive = dn_alive = True
-        while up_alive or dn_alive:
-            if up_alive and (not dn_alive or up_c <= dn_c):
-                budget.tick()
-                if partial + up_c > lim[0]:
-                    up_alive = False
-                else:
-                    descend(i, partial, up, up_c)
-                    up += 1
-                    d_up += qe
-                    up_c = d_up * d_up * wi
+        up = _round_half_even(Cn, qe)  # up, dn: the next candidate either side, d_*: its c q e - Cn
+        d_up = up * qe - Cn
+        dn, d_dn = up - 1, d_up - qe
+        while True:
+            budget.tick()
+            if d_up * d_up <= d_dn * d_dn:
+                c[i], d, up, d_up = up, d_up, up + 1, d_up + qe
             else:
-                budget.tick()
-                if partial + dn_c > lim[0]:
-                    dn_alive = False
-                else:
-                    descend(i, partial, dn, dn_c)
-                    dn -= 1
-                    d_dn -= qe
-                    dn_c = d_dn * d_dn * wi
+                c[i], d, dn, d_dn = dn, d_dn, dn - 1, d_dn - qe
+            N = partial + d * d * wi
+            if N > lim[0]:
+                return
+            if i:
+                level(i - 1, N)
+            else:
+                on_leaf(tuple(c), N)
 
     level(m - 1, 0)
 

@@ -84,8 +84,8 @@ def dual(L: Lattice) -> Lattice:
 
 
 def double_dual_check(L: Lattice) -> bool:
-    """Exact involution check: the dual of the dual is the original lattice."""
-    return equal_lattices(dual(dual(L)), L)
+    """Exact involution check: the dual of the dual has L's own basis matrix."""
+    return dual(dual(L)).basis == L.basis
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,6 @@ def extend_to_basis(L: Lattice, partial) -> Mat:
             raise CertificationFailed("no lattice vector found off the span of the partial system")
         current.append(best[1])
         coords.append(best[2])
-        if not _primitive_coords([c for c in coords if c is not None]):
+        if not _primitive_coords(coords):
             raise CertificationFailed("the extended system is not primitive")
     return tuple(current)

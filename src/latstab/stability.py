@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial
 from operator import mul
 
 from . import linalg
@@ -41,7 +41,7 @@ from .rng import SplitMix64
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-POWER_ITERS = 24  # power-iteration steps of the display-only sigma_min estimate
+POWER_ITERS = 24  # power-iteration steps of the 1/sigma_min^2 estimate
 ASCENT_CAP = 200  # points one probe ascent visits at most; it only guarantees an end
 
 
@@ -140,8 +140,7 @@ class ResidualReport:
     residual_norm_sq: Fraction
     correction_norm_sq: Fraction
     sigma_min_sq_lower: Fraction  # exact certified lower bound on the least eigenvalue of AA^T
-    sigma_min_lower: float        # its square root (display only)
-    sigma_min_estimate: float     # power-iteration estimate, approximate
+    inv_sigma_min_sq_estimate: Fraction  # power iteration's Rayleigh quotient of (AA^T)^-1
 
 
 def residual_amplification(A, b, x) -> ResidualReport:
@@ -151,8 +150,8 @@ def residual_amplification(A, b, x) -> ResidualReport:
     correction^2 * sigma_min^2 <= residual^2. Both the identity
     ||A(x - y)||^2 == residual^2 and that inequality (with the certified
     rational bound sigma_min^2 >= 1/trace((AA^T)^-1)) are checked exactly and
-    raise CertificationFailed when they fail. The display-only estimate is a
-    power iteration from a fixed seed-0 start.
+    raise CertificationFailed when they fail. The estimate of 1/sigma_min^2 is
+    a power iteration's, from a fixed seed-0 start.
     """
     A, b, x = _linear_system(A, b, x)
     r = linalg.vsub(linalg.mat_vec(A, x), b)
@@ -175,14 +174,12 @@ def residual_amplification(A, b, x) -> ResidualReport:
         v = linalg.mat_vec(Ginv, v)
         scale = max(abs(e) for e in v)
         v = tuple(e / scale for e in v)
-    rayleigh = linalg.dot(v, linalg.mat_vec(Ginv, v)) / linalg.dot(v, v)
     return ResidualReport(
         y=linalg.vsub(x, corr),
         residual_norm_sq=residual_sq,
         correction_norm_sq=correction_sq,
         sigma_min_sq_lower=sigma_min_sq_lower,
-        sigma_min_lower=sqrt(float(sigma_min_sq_lower)),
-        sigma_min_estimate=sqrt(1.0 / float(rayleigh)),
+        inv_sigma_min_sq_estimate=linalg.dot(v, linalg.mat_vec(Ginv, v)) / linalg.dot(v, v),
     )
 
 
@@ -516,7 +513,7 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
 
     The radius grid consists of norms actually achieved by lattice vectors,
     capped at the analytic sufficient level: with a reduced basis (v_i), dual
-    rows (w_i) and K = ceil sqrt(delta^2 m sum||w_i||^2 / epsilon^2), the
+    rows (w_i) and K = ceil_sqrt(delta^2 m sum||w_i||^2 / epsilon^2), the
     constraints at radius K*max||v_i|| pin every |v_i . x| within delta/K of
     an integer (this pinching needs delta < 1/3), so rounding lands within
     epsilon. The probed curve is therefore guaranteed to dip below epsilon^2

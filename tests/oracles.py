@@ -218,13 +218,14 @@ def gs_fractions(d, lam, D):
 
 
 def reference_se_scan(prep, scaled, lim: list[int], on_leaf, budget: _Budget) -> None:
-    """enumeration._se_scan as first written, in Fractions: the same nodes,
-    ticks, visit order and ties, with every center and every partial sum a
-    Fraction built per node. It takes the target scaled as _se_scan does,
-    (T, q), and works on t = T / q; it takes the integer limit lim[0] at the
-    scan's scale S q^2 and passes each leaf's distance at that scale, and
-    converts both to Fractions inside itself. gamma and mu come from a fresh
-    Gram-Schmidt of the working rows, independent of LLL's incremental updates."""
+    """enumeration._se_scan in Fractions: the same nodes, ticks, visit order
+    and ties, with every center and every partial sum a Fraction built per
+    node, and each level ended at its first candidate past the limit. It
+    takes the target scaled as _se_scan does, (T, q), and works on t = T / q;
+    it takes the integer limit lim[0] at the scan's scale S q^2 and passes
+    each leaf's distance at that scale, and converts both to Fractions inside
+    itself. gamma and mu come from a fresh Gram-Schmidt of the working rows,
+    independent of LLL's incremental updates."""
     T, q = scaled
     scale = prep.S * q * q
     t = [Fraction(a, q) for a in T]
@@ -233,47 +234,28 @@ def reference_se_scan(prep, scaled, lim: list[int], on_leaf, budget: _Budget) ->
     m = len(gamma)
     c = [0] * m
 
-    def descend(i: int, partial: Fraction, ci: int, contrib: Fraction):
-        c[i] = ci
-        if i == 0:
-            N = (partial + contrib) * scale
-            if N.denominator != 1:
-                raise ValueError(f"distance^2 {partial + contrib} is not at the scale {scale}")
-            on_leaf(tuple(c), N.numerator)
-        else:
-            level(i - 1, partial + contrib)
-
     def level(i: int, partial: Fraction):
         center = t[i]
         for j in range(i + 1, m):
             center += (t[j] - c[j]) * mu[j][i]
-        c0 = round(center)
-        budget.tick()
-        contrib = (c0 - center) ** 2 * gamma[i]
-        if partial + contrib > Fraction(lim[0], scale):
-            return
-        descend(i, partial, c0, contrib)
-        up, dn = c0 + 1, c0 - 1
-        up_c = (up - center) ** 2 * gamma[i]
-        dn_c = (dn - center) ** 2 * gamma[i]
-        up_alive = dn_alive = True
-        while up_alive or dn_alive:
-            if up_alive and (not dn_alive or up_c <= dn_c):
-                budget.tick()
-                if partial + up_c > Fraction(lim[0], scale):
-                    up_alive = False
-                else:
-                    descend(i, partial, up, up_c)
-                    up += 1
-                    up_c = (up - center) ** 2 * gamma[i]
+        up = round(center)
+        dn = up - 1
+        while True:
+            budget.tick()
+            if (up - center) ** 2 <= (dn - center) ** 2:
+                c[i], up = up, up + 1
             else:
-                budget.tick()
-                if partial + dn_c > Fraction(lim[0], scale):
-                    dn_alive = False
-                else:
-                    descend(i, partial, dn, dn_c)
-                    dn -= 1
-                    dn_c = (dn - center) ** 2 * gamma[i]
+                c[i], dn = dn, dn - 1
+            dist = partial + (c[i] - center) ** 2 * gamma[i]
+            if dist > Fraction(lim[0], scale):
+                return
+            if i:
+                level(i - 1, dist)
+            else:
+                N = dist * scale
+                if N.denominator != 1:
+                    raise ValueError(f"distance^2 {dist} is not at the scale {scale}")
+                on_leaf(tuple(c), N.numerator)
 
     level(m - 1, Fraction(0))
 

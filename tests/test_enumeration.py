@@ -287,6 +287,22 @@ class TestBudget:
         assert err.value.budget == 50
         assert str(err.value) == "list_vectors at rank 3, radius^2 400 exceeded node budget 50"
 
+    def test_level_ends_at_its_first_candidate_past_the_bound(self, z2, z3):
+        """Z^2 up to radius^2 1, one tick per candidate tested, each level
+        stopping at its first one past the bound: the top level tests c_1 = 0,
+        1, -1 and 2 (past it), 4 ticks; under c_1 = 0 the bottom level tests
+        c_0 = 0, 1, -1 and 2, 4 more; under c_1 = 1 and c_1 = -1 it tests
+        c_0 = 0 and 1 (past it), 2 each. That is 12. A level that went on to
+        test the other side once more after one side ran past would need 16."""
+        assert len(list_vectors(z2, F(1), node_budget=12)) == 2
+        with pytest.raises(BudgetExceeded):
+            list_vectors(z2, F(1), node_budget=11)
+        # Z^3: 4 ticks at the top, 12 under c_2 = 0 as above, and under each of
+        # c_2 = 1 and -1 two at the middle level and two under its c_1 = 0
+        assert len(list_vectors(z3, F(1), node_budget=24)) == 3
+        with pytest.raises(BudgetExceeded):
+            list_vectors(z3, F(1), node_budget=23)
+
     @pytest.mark.parametrize("search, cap, message", [
         # the search radius of a CVP is the nearest-plane bound, 3 * 1/4 on Z^3
         (lambda L, cap: closest_vector(L, (F(1, 3), F(1, 2), F(2, 3)), node_budget=cap), 2,

@@ -115,7 +115,8 @@ class TestAlmostNearLinear:
         assert rep.residual_norm_sq == 1
         assert rep.correction_norm_sq == 1
         assert rep.sigma_min_sq_lower == F(4, 5)
-        assert rep.sigma_min_estimate == pytest.approx(1.0)
+        assert isinstance(rep.inv_sigma_min_sq_estimate, F)  # the library holds no float
+        assert float(rep.inv_sigma_min_sq_estimate) == pytest.approx(1.0)
 
     def test_residual_single_row(self):
         rep = residual_amplification(((F(1), F(1)),), (1,), (F(1, 2), 5))
