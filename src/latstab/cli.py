@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -73,14 +72,19 @@ EXIT_VERDICT = 1
 EXIT_ERROR = 2
 
 
+def _fields(rec) -> dict:
+    """The declared fields of a lattice.record, without what is kept beside them."""
+    return {k: getattr(rec, k) for k in rec.__match_args__}
+
+
 def _json(value, display=False):
     """The JSON form of a result: a Fraction becomes its "p/q" text, or a
-    float anywhere under a "display" key; a dataclass becomes the dict of its
+    float anywhere under a "display" key; a record becomes the dict of its
     fields and a tuple or list a list."""
     if isinstance(value, Fraction):
         return float(value) if display else str(value)
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.asdict(value)
+    if hasattr(value, "__match_args__"):
+        value = _fields(value)
     if isinstance(value, dict):
         return {k: _json(v, display or k == "display") for k, v in value.items()}
     if isinstance(value, (tuple, list)):
@@ -89,7 +93,7 @@ def _json(value, display=False):
 
 
 def _near(r: NearResult) -> dict:
-    return {**dataclasses.asdict(r), "display": {"point": r.point, "dist": sqrt(r.dist_sq)}}
+    return {**_fields(r), "display": {"point": r.point, "dist": sqrt(r.dist_sq)}}
 
 
 def _arg(parse):
@@ -174,7 +178,7 @@ def _cmd_reduce(args, L):
         red = lll(L, args.delta)
     else:
         red = minkowski_reduce(L, node_budget=args.node_budget)
-    return {**dataclasses.asdict(red),
+    return {**_fields(red),
             "display": {"basis": red.basis,
                         "norms": [sqrt(q) for q in red.norms_sq]}}, EXIT_OK, None
 
@@ -204,7 +208,7 @@ def _cmd_cvp(args, L):
 
 def _cmd_covering(args, L):
     bounds = covering_radius(L, node_budget=args.node_budget)
-    return {**dataclasses.asdict(bounds),
+    return {**_fields(bounds),
             "display": {"lower": sqrt(bounds.lower_sq), "upper": sqrt(bounds.upper_sq),
                         "witness": bounds.witness}}, EXIT_OK, None
 
@@ -212,7 +216,7 @@ def _cmd_covering(args, L):
 def _cmd_transference(args, L):
     rep = transference_check(L, node_budget=args.node_budget)
     mu = rep.mu_dual
-    results = {**dataclasses.asdict(rep),
+    results = {**_fields(rep),
                "mu_dual": {"lower_sq": mu.lower_sq, "upper_sq": mu.upper_sq, "exact": mu.exact},
                "all_satisfied": rep.all_satisfied, "any_violation": rep.any_violation}
     return results, EXIT_VERDICT if rep.any_violation else EXIT_OK, None

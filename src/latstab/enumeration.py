@@ -14,7 +14,6 @@ tree walk and raising BudgetExceeded is the only way a search gives up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -23,7 +22,7 @@ from operator import mul
 
 from . import linalg
 from .errors import BudgetExceeded, CertificationFailed, NotInSpan, RankTooLarge
-from .lattice import Lattice, per_lattice
+from .lattice import Lattice, per_lattice, record
 from .linalg import Mat, Vec, _lowest, _round_half_even, _scaled, as_mat, as_vec
 from .reduction import DEFAULT_DELTA, MINKOWSKI_MAX_RANK, _lll_rows
 from .rng import SplitMix64
@@ -32,7 +31,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 ASCENT_SEED, ASCENT_RESTARTS = 0, 16  # the random starts of _deep_holes above rank 4
 
 
-@dataclass(frozen=True)
+@record
 class ShortVectorList:
     """Nonzero vectors with norm_sq <= radius_sq, one of each +-pair, as
     (coords, norm_sq) sorted by norm then coordinates."""
@@ -47,13 +46,13 @@ class ShortVectorList:
         return iter(self.vectors)
 
 
-@dataclass(frozen=True)
+@record
 class SuccessiveMinima:
     minima_sq: tuple[Fraction, ...]
     achieving_vectors: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class NearResult:
     """A lattice point, its integer coordinates in the stored basis, and the
     exact squared distance to the query."""
@@ -63,7 +62,7 @@ class NearResult:
     dist_sq: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class CoveringRadiusBounds:
     lower_sq: Fraction
     upper_sq: Fraction
@@ -84,7 +83,7 @@ class _Budget:
             raise BudgetExceeded(self.cap, "{} at rank {}, radius^2 {}".format(*self.search))
 
 
-@dataclass(frozen=True)
+@record
 class _Prep:
     rows: Mat                       # LLL-reduced working basis
     transform: tuple[tuple[int, ...], ...]  # working = transform * stored

@@ -9,7 +9,6 @@ literally the identity on basis matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import floor
@@ -40,7 +39,55 @@ def per_lattice(build):
     return stored
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls a frozen record of the fields its annotations declare, in order,
+    with defaults from class attributes, as dataclass(frozen=True) would: built by
+    position or keyword, then __post_init__ if cls has one; == and hash by the
+    tuple of fields within one class; repr Name(f=..., g=...); assignment and
+    deletion raise AttributeError. The __dict__ stays for cached_property and
+    per_lattice. Plain closures: the dataclass module would cost every command
+    its import of inspect and ast and an exec per method."""
+    names = tuple(cls.__annotations__)
+    known = frozenset(names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def fields(self):
+        return tuple([getattr(self, n) for n in names])
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != known
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__name__}() takes each of {', '.join(names)} once, "
+                            "by position or keyword")
+        for n in names:  # one at a time, as dataclass does, so instances share their keys
+            object.__setattr__(self, n, values[n])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@record
 class Lattice:
     """Integer row span of a full-row-rank rational basis matrix."""
 
@@ -88,7 +135,7 @@ def double_dual_check(L: Lattice) -> bool:
     return dual(dual(L)).basis == L.basis
 
 
-@dataclass(frozen=True)
+@record
 class AnnihilatorRep:
     """Integral annihilator of a lattice, split along span(L).
 

@@ -12,20 +12,19 @@ hence capped at rank 4, where one listing holds every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
 from .errors import CertificationFailed, NotInLattice, NotPrimitive, RankTooLarge
-from .lattice import Lattice, integral_coordinates
+from .lattice import Lattice, integral_coordinates, record
 from .linalg import Mat, Vec, _round_half_even, as_mat, as_vec
 
 DEFAULT_DELTA = Fraction(3, 4)
 MINKOWSKI_MAX_RANK = 4
 
 
-@dataclass(frozen=True)
+@record
 class ReducedBasis:
     basis: Mat  # a basis of the input lattice
     kind: str  # "lll" or "minkowski"

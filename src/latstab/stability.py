@@ -13,7 +13,6 @@ radius, with exactly feasible witnesses and analytic upper bounds.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -34,7 +33,7 @@ from .enumeration import (
 )
 from .errors import (BudgetExceeded, CertificationFailed, DependentRows, DimensionMismatch,
                      SingularMatrix)
-from .lattice import Lattice, dist_to_integers, dual, dual_coordinates
+from .lattice import Lattice, dist_to_integers, dual, dual_coordinates, record
 from .linalg import Mat, Vec, _lowest, as_mat, as_vec
 from .reduction import MINKOWSKI_MAX_RANK, minkowski_reduce
 from .rng import SplitMix64
@@ -45,21 +44,21 @@ POWER_ITERS = 24  # power-iteration steps of the 1/sigma_min^2 estimate
 ASCENT_CAP = 200  # points one probe ascent visits at most; it only guarantees an end
 
 
-@dataclass(frozen=True)
+@record
 class ProbeConfig:
     seed: int = 0
     restarts: int = 32
     node_budget: int = DEFAULT_NODE_BUDGET
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     coords: tuple[int, ...]
     inner_product: Fraction
     dist_to_int: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     delta: Fraction
     radius_sq: Fraction
@@ -134,7 +133,7 @@ def almost_near_linear(A, b, x) -> Vec:
     return tuple(Fraction(a, p) for a in Y)
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     y: Vec                        # the exact solution of A y = b nearest to x
     residual_norm_sq: Fraction
@@ -183,7 +182,7 @@ def residual_amplification(A, b, x) -> ResidualReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PairCheck:
     k: int
     product_sq: Fraction          # lambda_k(L)^2 * lambda_{m-k+1}(dual)^2
@@ -193,7 +192,7 @@ class PairCheck:
     within_factorial_bound: bool
 
 
-@dataclass(frozen=True)
+@record
 class IntervalCheck:
     lhs_lower_sq: Fraction
     lhs_upper_sq: Fraction
@@ -206,7 +205,7 @@ def _interval(lo: Fraction, hi: Fraction, bound: Fraction) -> IntervalCheck:
     return IntervalCheck(lhs_lower_sq=lo, lhs_upper_sq=hi, bound_sq=bound, verdict=verdict)
 
 
-@dataclass(frozen=True)
+@record
 class TransferenceReport:
     rank: int
     minima_sq: tuple[Fraction, ...]
@@ -271,7 +270,7 @@ def transference_check(L: Lattice, node_budget: int = DEFAULT_NODE_BUDGET) -> Tr
     )
 
 
-@dataclass(frozen=True)
+@record
 class SharpnessWitness:
     x: Vec
     report: HypothesisReport
@@ -486,7 +485,7 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
         yield best_f, w
 
 
-@dataclass(frozen=True)
+@record
 class StabilityProbe:
     """estimated_r_sq is the least probed level whose certified lower bound f_hat_sq is
     <= epsilon_sq: never above the first probed level at or above the exact least
@@ -589,7 +588,7 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     )
 
 
-@dataclass(frozen=True)
+@record
 class FamilyDiagnostics:
     scale: Fraction
     lattice: Lattice

@@ -367,6 +367,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "Not a directory" in err
 
+    def test_cold_import_loads_every_layer_and_no_dataclasses(self):
+        # perfbench/tracing.py finds each layer in sys.modules after this import;
+        # dataclasses, which pulls in inspect, would slow every command's start
+        code = ("import sys, latstab.cli; print(' '.join(sorted(m for m in "
+                "('dataclasses', 'inspect', 'latstab.linalg', 'latstab.lattice', "
+                "'latstab.reduction', 'latstab.enumeration', 'latstab.stability', "
+                "'latstab.generate', 'latstab.latfile') if m in sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_source_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["latstab.enumeration", "latstab.generate",
+                                       "latstab.latfile", "latstab.lattice", "latstab.linalg",
+                                       "latstab.reduction", "latstab.stability"]
+
     def test_dimension_mismatch_under_optimize(self, mixed_file):
         # -O strips asserts, so the check must be an explicit error
         proc = subprocess.run(

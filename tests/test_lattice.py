@@ -3,9 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from latstab import (
+    DEFAULT_NODE_BUDGET,
     DependentRows,
     Lattice,
+    NearResult,
     NotInSpan,
+    ProbeConfig,
     annihilator,
     dist_to_integers,
     double_dual_check,
@@ -14,11 +17,13 @@ from latstab import (
     equal_lattices,
     integral_coordinates,
     is_member,
+    enumeration,
     linalg,
     random_lattice,
     shortest_vector,
 )
 from latstab import generate
+from latstab.lattice import record
 from latstab.rng import SplitMix64
 
 
@@ -138,6 +143,84 @@ class TestConstruction:
     def test_from_generators_rational(self):
         L = Lattice.from_generators(((F(1, 2), 0), (F(1, 3), 0)))
         assert L.basis == ((F(1, 6), F(0)),)
+
+
+class TestRecord:
+    """The result types are lattice.record classes, the stand-in for
+    dataclass(frozen=True); each repr below is what the dataclass printed."""
+
+    def test_repr_as_before(self):
+        assert repr(ProbeConfig()) == "ProbeConfig(seed=0, restarts=32, node_budget=10000000)"
+        near = NearResult(point=(F(1), F(-1, 2)), coords=(1, 0), dist_sq=F(1, 4))
+        assert repr(near) == ("NearResult(point=(Fraction(1, 1), Fraction(-1, 2)), "
+                              "coords=(1, 0), dist_sq=Fraction(1, 4))")
+        L = Lattice(((F(2), F(0)), (F(1), F(1, 2))))
+        dual(L), L.gram_matrix  # kept on L, outside the repr
+        assert repr(L) == ("Lattice(basis=((Fraction(2, 1), Fraction(0, 1)), "
+                           "(Fraction(1, 1), Fraction(1, 2))))")
+
+    def test_position_keyword_and_defaults(self):
+        full = ProbeConfig(7, 32, DEFAULT_NODE_BUDGET)
+        assert ProbeConfig(7) == ProbeConfig(seed=7) == full
+        assert ProbeConfig(7, node_budget=5) == ProbeConfig(seed=7, restarts=32, node_budget=5)
+        assert (ProbeConfig().seed, ProbeConfig().restarts) == (0, 32)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2, 3, 4), {}),       # one more than the three fields
+        ((1,), {"seed": 2}),      # seed twice
+        ((), {"seeds": 1}),       # no such field
+    ])
+    def test_unknown_or_repeated_field(self, args, kwargs):
+        with pytest.raises(TypeError, match="ProbeConfig"):
+            ProbeConfig(*args, **kwargs)
+
+    def test_missing_field(self):
+        with pytest.raises(TypeError, match="NearResult"):
+            NearResult(point=(F(1),), coords=(1,))
+        with pytest.raises(TypeError):
+            NearResult((F(1),), (1,))
+
+    def test_frozen(self):
+        cfg = ProbeConfig()
+        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+            cfg.seed = 1
+        with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+            cfg.other = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'seed'"):
+            del cfg.seed
+        assert cfg == ProbeConfig()
+
+    def test_equality_and_hash_by_fields_within_one_class(self):
+        @record
+        class P:
+            x: int
+            y: int
+
+        @record
+        class Q:
+            x: int
+            y: int
+
+        assert P(1, 2) == P(x=1, y=2) and P(1, 2) != P(2, 1)
+        assert P(1, 2) != Q(1, 2) and P(1, 2) != (1, 2)
+        assert P(1, 2).__eq__(Q(1, 2)) is NotImplemented
+        assert hash(P(1, 2)) == hash(Q(1, 2)) == hash((1, 2))
+        rows = ((F(1), F(0)), (F(0), F(1)))
+        L, M = Lattice(rows), Lattice(basis=((1, 0), (0, 1)))
+        assert L == M and hash(L) == hash(M) == hash((rows,)) and len({L, M}) == 1
+
+    def test_post_init_runs(self):
+        assert Lattice(basis=((1, 2),)).basis == ((F(1), F(2)),)
+        with pytest.raises(DependentRows):
+            Lattice(basis=((F(1), F(1)), (F(2), F(2))))
+
+    def test_data_kept_on_the_object(self):
+        L = Lattice(((F(2), F(1)), (F(0), F(3))))
+        G = L.gram_matrix
+        prep = enumeration._prep(L)
+        assert L.gram_matrix is G and enumeration._prep(L) is prep
+        assert prep.inverse is prep.inverse
+        assert "gram_matrix" in vars(L) and "inverse" in vars(prep)
 
 
 class TestRandomLattice:

@@ -1,6 +1,5 @@
 import sys
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -209,7 +208,9 @@ class TestTransference:
 
         def inflated(K, node_budget):
             got = real(K, node_budget=node_budget)
-            return replace(got, minima_sq=(*got.minima_sq[:-1], 100 * got.minima_sq[-1]))
+            return enumeration.SuccessiveMinima(
+                minima_sq=(*got.minima_sq[:-1], 100 * got.minima_sq[-1]),
+                achieving_vectors=got.achieving_vectors)
 
         monkeypatch.setattr(stability, "successive_minima", inflated)
         rep = transference_check(mixed2)
@@ -403,9 +404,10 @@ class TestProbeMatchesFractionReference:
             W = dual(L).basis
             tie = linalg.vadd(linalg.vscale(F(1, 2), W[0]), linalg.vscale(F(3, 2), W[1]))
             for delta in (F(0), F(1, 4)):
-                got = probe_worst_distance(L, delta, F(2), replace(FAST, restarts=1))
-                want = reference_probe_worst_distance(L, delta, F(2), replace(FAST, restarts=0),
-                                                      extra_starts=(tie,))
+                one = ProbeConfig(seed=FAST.seed, restarts=1, node_budget=FAST.node_budget)
+                none = ProbeConfig(seed=FAST.seed, restarts=0, node_budget=FAST.node_budget)
+                got = probe_worst_distance(L, delta, F(2), one)
+                want = reference_probe_worst_distance(L, delta, F(2), none, extra_starts=(tie,))
                 assert got == want
 
     def test_sweep_is_the_warm_started_reference(self, monkeypatch):
@@ -713,7 +715,8 @@ class TestStabilityRadius:
 
         def starved(L, delta, C, levels, cfg):
             yield from real(L, delta, C, levels[:1], cfg)
-            yield from real(L, delta, C, levels[1:], replace(cfg, node_budget=0))
+            yield from real(L, delta, C, levels[1:],
+                            ProbeConfig(seed=cfg.seed, restarts=cfg.restarts, node_budget=0))
 
         monkeypatch.setattr(stability, "_probe_levels", starved)
         with pytest.raises(BudgetExceeded) as err:
@@ -787,7 +790,8 @@ class TestDegenerateFamily:
                 super().__init__(cap, *rest)
 
         monkeypatch.setattr(enumeration, "_Budget", Recorded)
-        degenerate_family(1, [10], cfg=replace(FAST, node_budget=123_457))
+        degenerate_family(1, [10], cfg=ProbeConfig(seed=FAST.seed, restarts=FAST.restarts,
+                                                   node_budget=123_457))
         assert budgets == [123_457] * 3
         assert set(caps) == {123_457}
 
