@@ -16,8 +16,7 @@ commands without a lattice argument) and returns (results, exit code, CSV
 rows or None). `main` builds the rest of the document: the lattice and the
 declared inputs, the seed and the declared budgets. One option rule holds for
 every command: --node-budget exists exactly when "node_budget" is a declared
-budget and --restarts when "restarts" is; probe, stability-radius and family
-build their ProbeConfig from these and --seed in one place.
+budget and --restarts when "restarts" is.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .latfile import (
 from .lattice import double_dual_check, dual
 from .reduction import DEFAULT_DELTA, lll, minkowski_reduce
 from .stability import (
-    ProbeConfig,
     check_hypothesis,
     degenerate_family,
     near_dual_vector,
@@ -238,18 +236,16 @@ def _cmd_near_dual(args, L):
     return {"nearest": _near(near)}, EXIT_OK, None
 
 
-def _probe_cfg(args) -> ProbeConfig:
-    return ProbeConfig(seed=args.seed, restarts=args.restarts, node_budget=args.node_budget)
-
-
 def _cmd_probe(args, L):
-    f_hat, witness = probe_worst_distance(L, args.delta, args.radius_sq, _probe_cfg(args))
+    f_hat, witness = probe_worst_distance(L, args.delta, args.radius_sq, seed=args.seed,
+                                          restarts=args.restarts, node_budget=args.node_budget)
     return {"f_hat_sq": f_hat, "witness": witness,
             "display": {"f_hat": sqrt(f_hat), "witness": witness}}, EXIT_OK, None
 
 
 def _cmd_stability_radius(args, L):
-    probe = stability_radius(L, args.delta, args.epsilon_sq, _probe_cfg(args),
+    probe = stability_radius(L, args.delta, args.epsilon_sq, seed=args.seed,
+                             restarts=args.restarts, node_budget=args.node_budget,
                              max_levels=args.max_levels)
     curve = list(zip(probe.radius_grid, probe.f_hat_sq))
     results = {k: getattr(probe, k) for k in (
@@ -274,7 +270,7 @@ def _cmd_sharpness(args, L):
 
 def _cmd_family(args, _):
     fam = degenerate_family(args.c, args.d, delta=args.delta, epsilon_sq=args.epsilon_sq,
-                            cfg=_probe_cfg(args))
+                            seed=args.seed, restarts=args.restarts, node_budget=args.node_budget)
     members = [{"scale": d.scale, "basis": d.lattice.basis, "minima_sq": d.minima_sq,
                 "dual_minima_sq": d.dual_minima_sq, "mu_dual_sq": d.mu_dual_sq,
                 "estimated_r_sq": d.probe.estimated_r_sq,
@@ -309,7 +305,16 @@ def _cmd_linear(args, _):
     return results, EXIT_OK, None
 
 
-def build_parser(default_budget: int) -> argparse.ArgumentParser:
+class _Unbuilt:
+    """The subparser of a command that is not run: its arguments are not added."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+
+def build_parser(default_budget: int, command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's subparser, with its arguments only for `command` when one
+    is named: the others keep their name and help, for --help and the choices."""
     parser = _Parser(
         prog="latstab",
         description="Exact rational lattice computations: duals, reduction, "
@@ -323,6 +328,8 @@ def build_parser(default_budget: int) -> argparse.ArgumentParser:
         go into the document's "inputs" and "budgets"; --node-budget exists
         exactly when "node_budget" is a budget, and --restarts when "restarts" is."""
         p = sub.add_parser(name, help=help_, description=help_)
+        if command not in (None, name):
+            return _Unbuilt()
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (makes output non-deterministic)")
         if lattice:
@@ -437,8 +444,12 @@ def _fail(e: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first token that is not an option, as no top-level
+    # option takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser(_env_budget()).parse_args(argv)
+        args = build_parser(_env_budget(), command).parse_args(argv)
     except SystemExit as e:  # argparse: usage errors, --help, --version
         return int(e.code or 0)
     except ParseError as e:  # a bad LATSTAB_NODE_BUDGET

@@ -11,9 +11,9 @@ results become ``Fraction``s again at the interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
 
 from .errors import DependentRows, DimensionMismatch, SingularMatrix
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from operator import mul
 
@@ -33,7 +34,7 @@ from .enumeration import (
 )
 from .errors import (BudgetExceeded, CertificationFailed, DependentRows, DimensionMismatch,
                      SingularMatrix)
-from .lattice import Lattice, dist_to_integers, dual, dual_coordinates, record
+from .lattice import Lattice, dual, dual_coordinates, record
 from .linalg import Mat, Vec, _lowest, as_mat, as_vec
 from .reduction import MINKOWSKI_MAX_RANK, minkowski_reduce
 from .rng import SplitMix64
@@ -42,13 +43,6 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 POWER_ITERS = 24  # power-iteration steps of the 1/sigma_min^2 estimate
 ASCENT_CAP = 200  # points one probe ascent visits at most; it only guarantees an end
-
-
-@record
-class ProbeConfig:
-    seed: int = 0
-    restarts: int = 32
-    node_budget: int = DEFAULT_NODE_BUDGET
 
 
 @record
@@ -85,10 +79,19 @@ def check_hypothesis(L: Lattice, x, delta, radius_sq,
 
 def _violations(C, Bx: Vec, delta: Fraction) -> tuple[Violation, ...]:
     """The rows c of C whose s = c.Bx, that is u.x for u = c B, lies farther
-    than delta from every integer: the hypothesis, in plain Fractions."""
-    products = ((c, sum(map(mul, c, Bx))) for c in C)
-    return tuple(Violation(coords=c, inner_product=s, dist_to_int=dist_to_integers(s))
-                 for c, s in products if dist_to_integers(s) > delta)
+    than delta = dn/dd from every integer: with Bx = Y/q and N = c.Y, those with
+    min(N mod q, -N mod q) dd > dn q. By other arithmetic than the scan's
+    _violated, so a certificate decides every row again."""
+    Y, q = linalg._scaled(Bx)
+    dn, dd = delta.numerator, delta.denominator
+    out = []
+    for c in C:
+        N = sum(map(mul, c, Y))
+        r = min(N % q, -N % q)
+        if r * dd > dn * q:
+            out.append(Violation(coords=c, inner_product=Fraction(N, q),
+                                 dist_to_int=Fraction(r, q)))
+    return tuple(out)
 
 
 def round_in_dual_coordinates(L: Lattice, x) -> NearResult:
@@ -323,21 +326,22 @@ def _violated(Ns: list[int], q: int, dn: int, dd: int) -> list[int]:
     return [i for i, N in enumerate(Ns) if (N * dd + shift) % period > bound]
 
 
-def probe_worst_distance(L: Lattice, delta, radius_sq,
-                         cfg: ProbeConfig | None = None) -> tuple[Fraction, Vec]:
+def probe_worst_distance(L: Lattice, delta, radius_sq, *, seed: int = 0, restarts: int = 32,
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[Fraction, Vec]:
     """Heuristic maximum of dist(x, dual)^2 over {x in span(L) : every u in L
     with ||u||^2 <= radius_sq has |u.x| within delta of an integer}, a certified
     lower bound with an exactly feasible witness: _probe_levels at one level."""
-    cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
     if not 0 <= delta < THIRD:
         raise ValueError(f"delta must be in [0, 1/3), got {delta}")
-    listing = list_vectors(L, radius_sq, node_budget=cfg.node_budget)
+    listing = list_vectors(L, radius_sq, node_budget=node_budget)
     C = tuple(c for c, _ in listing.vectors)
-    return next(_probe_levels(L, delta, C, [(listing.radius_sq, len(C))], cfg))
+    return next(_probe_levels(L, delta, C, [(listing.radius_sq, len(C))],
+                              seed, restarts, node_budget))
 
 
-def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfig):
+def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, seed: int, restarts: int,
+                  node_budget: int):
     """Yield the probe's (f, witness) at each level (radius_sq, k), over the
     constraints C[:k]: a prefix of the listing's coordinate rows c, in norm order.
 
@@ -349,42 +353,43 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     point, as it lies in span(L)), then pushed away from its nearest dual
     point until a slab face blocks or ASCENT_CAP points are visited, all in
     integers. The starts (the dual's holes from _deep_holes, the half-vectors
-    and cfg.restarts seeded points) are made once, and each level's best point
-    joins them for the later levels. Each level's answer starts at (0, origin),
-    feasible and on the dual, so the probe never fails; ties go to the least
-    ambient witness, so the order of the starts does not matter.
+    and `restarts` points drawn from `seed`) are made once, and each level's
+    best point joins them for the later levels. Each level's answer starts at
+    (0, origin), feasible and on the dual, so the probe never fails; ties go to
+    the least ambient witness, so the order of the starts does not matter.
 
-    Two tables live for one sweep, not on L: each point's slab scan (the rows
-    read, the echelon, rows and face targets of the violated rows chosen, and
-    its repair step), resumed over a level's new rows, and each searched point's
-    nearest dual point. So every step and search is made once; a push
-    recomputes c.X for its own point.
+    Three tables live for one sweep, not on L: each point's slab scan (the
+    rows read, the echelon, rows and face targets of the violated rows chosen,
+    and its repair step), resumed over a level's new rows, each searched point's
+    nearest dual point and each compared point's ambient vector. So every step,
+    search and vector is made once; a push recomputes c.X for its own point. A
+    start whose repair fails at every later level too leaves the starts.
     """
     Ld, m = dual(L), L.rank
     dn, dd = delta.numerator, delta.denominator
     Gz = linalg.clear_denominators(L.gram_matrix)[0]
     # per sweep: p -> [rows read, echelon, chosen rows, their face targets,
-    # (rows the step was taken from, step)], and p -> _closest
+    # (rows the step was taken from, step)]
     scans: dict = {}
-    nearest: dict = {}
 
     def products(X, lo: int, hi: int) -> list[int]:
         """c.X for the constraint rows C[lo:hi]."""
         return [sum(map(mul, c, X)) for c in C[lo:hi]]
 
-    def scan(p) -> list:
+    def scan(p, enough: int) -> list:
         """p's slab scan resumed over the level's new rows, in blocks of 8, 16, ...,
-        until m independent violated rows are chosen: the rows chosen up to a level
-        start the choice at every later one, whose new rows come later in norm order."""
+        until `enough` independent violated rows are chosen: the rows chosen up to a
+        level start the choice at every later one, whose new rows come later in norm
+        order. It stops just past the row that completes the choice, so a scan that
+        asked for fewer rows goes on to choose the rows a full one would."""
         s = scans.setdefault(p, [0, [], [], [], None])
         X, q = p
         read, echelon, rows, targets, _ = s
         size = 8
-        while read < k and len(rows) < m:
+        while read < k and len(rows) < enough:
             new = products(X, read, min(k, read + size))
+            end = read + len(new)
             for i in _violated(new, q, dn, dd):
-                if len(rows) == m:
-                    break
                 c = v = C[read + i]
                 for j, e in echelon:
                     if v[j]:
@@ -395,28 +400,36 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
                     rows.append(c)
                     r = linalg._round_half_even(new[i], q)  # c.y = target / dd on the nearest face
                     targets.append(r * dd - dn if new[i] < r * q else r * dd + dn)
-            read, size = read + len(new), 2 * size
+                    if len(rows) == enough:
+                        end = read + i + 1
+                        break
+            read, size = end, 2 * size
         s[0] = read
         return s
 
     def repair(p):
-        """A feasible point near p, or None. A step from fewer than m rows is
-        taken again once a later level's rows add to the choice."""
-        for step in range(5):
-            s = scan(p)
+        """A feasible point near p after at most four steps; None if there is
+        none, False if there is none at any later level either. A step from
+        fewer than m rows is taken again once a later level's rows add to the
+        choice; m rows stay chosen, so four such steps and the fifth point's
+        violated row stay too. The fifth point's scan stops at that row."""
+        settled = True
+        for _ in range(4):
+            s = scan(p, m)
             rows, targets, taken = s[2:]
             if not rows:
                 return p
-            if step == 4:
-                return None
+            settled = settled and len(rows) == m
             if taken is None or taken[0] < len(rows):
                 s[4] = taken = len(rows), _slab_step(rows, targets, dd, Gz, *p)
             p = taken[1]
+        if not scan(p, 1)[2]:
+            return p
+        return False if settled else None
 
+    @cache
     def closest(p):
-        if p not in nearest:
-            nearest[p] = _closest(Ld, p, cfg.node_budget)
-        return nearest[p]
+        return _closest(Ld, p, node_budget)
 
     def push(p, coords: tuple[int, ...]) -> list:
         """Candidate points farther from the nearest dual point coords,
@@ -446,10 +459,11 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
     def local_max(p0):
         """Ascend from the repaired p0 to the farthest push candidate while it
         is farther than the current point: the distance rises at every step,
-        so the last point is the best. It visits at most ASCENT_CAP points."""
+        so the last point is the best. It visits at most ASCENT_CAP points;
+        None or False as repair(p0) when that fails."""
         p = repair(p0)
-        if p is None:
-            return None
+        if not p:
+            return p
         near = closest(p)
         for _ in range(ASCENT_CAP - 1):
             if not near[0]:
@@ -461,27 +475,33 @@ def _probe_levels(L: Lattice, delta: Fraction, C: tuple, levels, cfg: ProbeConfi
             near, p = top
         return near[0], p
 
+    @cache
     def ambient(p) -> Vec:
         return linalg.vec_mat(tuple(Fraction(a, p[1]) for a in p[0]), Ld.basis)
 
-    starts = list(_deep_holes(Ld, cfg.node_budget)[0])
+    starts = list(_deep_holes(Ld, node_budget)[0])
     masks = (range(1, 2**m) if m <= MINKOWSKI_MAX_RANK
              else [1 << i for i in range(m)] + [2**m - 1])
     starts += [(tuple(mask >> i & 1 for i in range(m)), 2) for mask in masks]
-    rng = SplitMix64(cfg.seed)
-    starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(cfg.restarts)]
+    rng = SplitMix64(seed)
+    starts += [linalg._scaled([rng.fraction() for _ in range(m)]) for _ in range(restarts)]
+    starts = dict.fromkeys(starts)
 
     for radius_sq, k in levels:
         best_f, best_p = Fraction(0), ((0,) * m, 1)
-        for got in filter(None, map(local_max, dict.fromkeys(starts))):
-            if got[0] > best_f or got[0] == best_f and ambient(got[1]) < ambient(best_p):
+        for p0 in list(starts):
+            got = local_max(p0)
+            if got is False:
+                del starts[p0]
+            elif got and (got[0] > best_f or got[0] == best_f and got[1] != best_p
+                          and ambient(got[1]) < ambient(best_p)):
                 best_f, best_p = got
         w = ambient(best_p)
         # certified independently of the integer slab tests: u.w = c.(B w)
         if _violations(C[:k], linalg.mat_vec(L.basis, w), delta):
             raise CertificationFailed(f"the probe witness violates the hypothesis at "
                                       f"radius^2 {radius_sq}")
-        starts.append(best_p)
+        starts[best_p] = None
         yield best_f, w
 
 
@@ -505,7 +525,8 @@ class StabilityProbe:
     levels_dropped: int           # grid levels below the top one that max_levels left out
 
 
-def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = None,
+def stability_radius(L: Lattice, delta, epsilon_sq, *, seed: int = 0, restarts: int = 32,
+                     node_budget: int = DEFAULT_NODE_BUDGET,
                      max_levels: int = 32) -> StabilityProbe:
     """Estimate how large the constraint radius must be before every feasible
     x sits within epsilon of the dual lattice.
@@ -528,7 +549,6 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     sweep, which makes each repair step and each nearest-point search once for
     the whole grid.
     """
-    cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
     epsilon_sq = linalg.as_rational(epsilon_sq)
     if not 0 < delta < THIRD:
@@ -540,7 +560,7 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     m = L.rank
     # a reduced basis V, whose dual rows W solve gram(V) W = V; above the cap, the
     # LLL rows that the searches run on, which are the rows lll(L) gives
-    V, kind = ((minkowski_reduce(L, node_budget=cfg.node_budget).basis, "minkowski")
+    V, kind = ((minkowski_reduce(L, node_budget=node_budget).basis, "minkowski")
                if m <= MINKOWSKI_MAX_RANK else (_prep(L).rows, "lll"))
     sum_w = sum((linalg.norm_sq(w) for w in linalg.solve_matrix(linalg.gram(V), V)), Fraction(0))
     base_radius_sq = max(linalg.norm_sq(v) for v in V)
@@ -549,7 +569,7 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     suff_radius_sq = K * K * base_radius_sq
     suff_bound_sq = base_bound_sq / (K * K)
 
-    coords, norms = zip(*list_vectors(L, suff_radius_sq, node_budget=cfg.node_budget))
+    coords, norms = zip(*list_vectors(L, suff_radius_sq, node_budget=node_budget))
     levels = sorted(set(norms))
     levels_dropped = max(0, len(levels) - max_levels)
     if levels_dropped:
@@ -558,7 +578,8 @@ def stability_radius(L: Lattice, delta, epsilon_sq, cfg: ProbeConfig | None = No
     curve: list[tuple[Fraction, Vec]] = []  # (f, witness) per level
     try:
         for got in _probe_levels(L, delta, coords,
-                                 [(r2, bisect_right(norms, r2)) for r2 in levels], cfg):
+                                 [(r2, bisect_right(norms, r2)) for r2 in levels],
+                                 seed, restarts, node_budget):
             curve.append(got)
     except BudgetExceeded as err:
         err.args = (f"{err}, at probe level radius^2 {levels[len(curve)]}",)
@@ -598,8 +619,9 @@ class FamilyDiagnostics:
     probe: StabilityProbe
 
 
-def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 100),
-                      cfg: ProbeConfig | None = None) -> tuple[FamilyDiagnostics, ...]:
+def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 100), *,
+                      seed: int = 0, restarts: int = 32,
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[FamilyDiagnostics, ...]:
     """Diagonal lattices c*Z x d*Z for growing d: the dual direction with
     spacing 1/d collapses, showing how degenerating minima stress the
     stability radius. Reports minima of both sides, the exact dual covering
@@ -607,17 +629,17 @@ def degenerate_family(c, d_values, delta=Fraction(1, 4), epsilon_sq=Fraction(1, 
     c, ds = linalg.as_rational(c), [linalg.as_rational(d) for d in d_values]
     if c <= 0 or any(d <= 0 for d in ds):
         raise ValueError("family scales must be positive")
-    cfg = cfg or ProbeConfig()
     out = []
     for d in ds:
         L = Lattice(as_mat([[c, 0], [0, d]]))
-        probe = stability_radius(L, delta, epsilon_sq, cfg)
+        probe = stability_radius(L, delta, epsilon_sq, seed=seed, restarts=restarts,
+                                 node_budget=node_budget)
         out.append(FamilyDiagnostics(
             scale=d,
             lattice=L,
-            minima_sq=successive_minima(L, node_budget=cfg.node_budget).minima_sq,
-            dual_minima_sq=successive_minima(dual(L), node_budget=cfg.node_budget).minima_sq,
-            mu_dual_sq=covering_radius(dual(L), node_budget=cfg.node_budget).lower_sq,
+            minima_sq=successive_minima(L, node_budget=node_budget).minima_sq,
+            dual_minima_sq=successive_minima(dual(L), node_budget=node_budget).minima_sq,
+            mu_dual_sq=covering_radius(dual(L), node_budget=node_budget).lower_sq,
             probe=probe,
         ))
     return tuple(out)

@@ -16,16 +16,17 @@ from itertools import combinations, product
 from math import gcd
 from operator import mul
 
-from latstab import CertificationFailed, DependentRows, Lattice, ProbeConfig, SingularMatrix, dual
+from latstab import CertificationFailed, DependentRows, Lattice, SingularMatrix, dual
 from latstab import linalg
-from latstab.enumeration import (NearResult, _Budget, _deep_holes, _prep, _se_scan,
-                                 _to_stored, closest_vector, list_vectors, successive_minima)
+from latstab.enumeration import (DEFAULT_NODE_BUDGET, NearResult, _Budget, _deep_holes, _prep,
+                                 _se_scan, _to_stored, closest_vector, list_vectors,
+                                 successive_minima)
 from latstab.lattice import dist_to_integers
 from latstab.linalg import Vec, as_mat, as_vec
 from latstab.reduction import (MINKOWSKI_MAX_RANK, ReducedBasis, _ambient_canonical,
                                _primitive_coords)
 from latstab.rng import SplitMix64
-from latstab.stability import HALF, THIRD, almost_near_linear
+from latstab.stability import HALF, THIRD, Violation, almost_near_linear
 
 
 def reference_eliminate(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
@@ -459,13 +460,21 @@ def same_lattice(B1, B2) -> bool:
     return True
 
 
-def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfig | None = None,
-                                   *, max_iters: int = 200, extra_starts=(), _constraints=None):
+def reference_violations(C, Bx: Vec, delta: Fraction) -> tuple[Violation, ...]:
+    """The hypothesis in plain Fractions: the rows c of C whose s = c.Bx lies
+    farther than delta from every integer, dist_to_integers(s) > delta."""
+    products = ((c, sum(map(mul, c, Bx))) for c in C)
+    return tuple(Violation(coords=c, inner_product=s, dist_to_int=dist_to_integers(s))
+                 for c, s in products if dist_to_integers(s) > delta)
+
+
+def reference_probe_worst_distance(L: Lattice, delta, radius_sq, *, seed: int = 0,
+                                   restarts: int = 32, node_budget: int = DEFAULT_NODE_BUDGET,
+                                   max_iters: int = 200, extra_starts=(), _constraints=None):
     """probe_worst_distance with every slab test an ambient Fraction dot
     product and every independence test a full rank: the same starts, moves
     and tie-breaks, so the result must be identical. An ascent visits at most
     max_iters points, the probe's ASCENT_CAP."""
-    cfg = cfg or ProbeConfig()
     delta = linalg.as_rational(delta)
     radius_sq = linalg.as_rational(radius_sq)
     if not 0 <= delta < THIRD:
@@ -474,7 +483,7 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
     W = Ld.basis
     m, n = L.rank, L.ambient_dim
     if _constraints is None:
-        reps = list_vectors(L, radius_sq, node_budget=cfg.node_budget).vectors
+        reps = list_vectors(L, radius_sq, node_budget=node_budget).vectors
         U = [linalg.vec_mat(as_vec(c), L.basis) for c, _ in reps]
     else:
         U = _constraints
@@ -531,7 +540,7 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
             return None
         best: tuple[Fraction, Vec] | None = None
         for _ in range(max_iters):
-            near = closest_vector(Ld, x, node_budget=cfg.node_budget)
+            near = closest_vector(Ld, x, node_budget=node_budget)
             f = near.dist_sq
             if best is not None and f <= best[0]:
                 break
@@ -541,7 +550,7 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
                 break
             stepped = None
             for cand in push(x, d):
-                fc = closest_vector(Ld, cand, node_budget=cfg.node_budget).dist_sq
+                fc = closest_vector(Ld, cand, node_budget=node_budget).dist_sq
                 if fc > f and (stepped is None or fc > stepped[0]):
                     stepped = (fc, cand)
             if stepped is None:
@@ -552,14 +561,14 @@ def reference_probe_worst_distance(L: Lattice, delta, radius_sq, cfg: ProbeConfi
     # the dual's holes (the cell's vertices up to the rank cap, the covering
     # ascent's end points above it) come from the probe's own source
     starts: list[Vec] = [linalg.zeros(n)]
-    starts += cell_vertices(Ld, _deep_holes(Ld, cfg.node_budget)[0])
+    starts += cell_vertices(Ld, _deep_holes(Ld, node_budget)[0])
     masks = range(1, 2**m) if m <= MINKOWSKI_MAX_RANK else [1 << i for i in range(m)] + [2**m - 1]
     for mask in masks:
         sel = as_vec([HALF if mask >> i & 1 else 0 for i in range(m)])
         starts.append(linalg.vec_mat(sel, W))
     starts += [as_vec(s) for s in extra_starts]
-    rng = SplitMix64(cfg.seed)
-    for _ in range(cfg.restarts):
+    rng = SplitMix64(seed)
+    for _ in range(restarts):
         t = as_vec([rng.fraction() for _ in range(m)])
         starts.append(linalg.vec_mat(t, W))
 

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from latstab import (
     Lattice,
-    ProbeConfig,
     check_hypothesis,
     closest_vector,
     degenerate_family,
@@ -132,7 +131,6 @@ def test_criterion_6_threshold_witness_on_unit_lattices():
 
 def test_criterion_7_probe_finds_known_worst_cases():
     t0 = time.monotonic()
-    cfg = ProbeConfig(seed=0, restarts=8)
     z1, z2 = _unit(1), _unit(2)
     mixed = Lattice(((F(2), F(0)), (F(0), F(1, 2))))
     for L, delta, r2, expected in (
@@ -142,11 +140,11 @@ def test_criterion_7_probe_finds_known_worst_cases():
         (z2, F(1, 4), F(2), F(1, 16)),
         (mixed, F(1, 4), F(1, 4), F(5, 16)),
     ):
-        f_hat, witness = probe_worst_distance(L, delta, r2, cfg)
+        f_hat, witness = probe_worst_distance(L, delta, r2, restarts=8)
         assert f_hat == expected, f"probe({delta}, {r2}) on {L.basis}: {f_hat}"
         assert check_hypothesis(L, witness, delta, r2).holds
         assert near_dual_vector(L, witness).dist_sq == f_hat
-    probe = stability_radius(z2, F(1, 4), F(1, 100), cfg)
+    probe = stability_radius(z2, F(1, 4), F(1, 100), restarts=8)
     assert all(a >= b for a, b in zip(probe.f_hat_sq, probe.f_hat_sq[1:]))
     assert probe.estimated_r_sq == 9
     elapsed = time.monotonic() - t0
@@ -189,10 +187,9 @@ def test_criterion_8_exact_linear_solutions_are_nearest():
 
 def test_criterion_9_stability_radius_bounded_and_witnessed():
     t0 = time.monotonic()
-    cfg = ProbeConfig(seed=0, restarts=6)
     delta, eps_sq = F(1, 4), F(1, 100)
-    targets = [d.probe for d in degenerate_family(1, [1, 10, 100], cfg=cfg)]
-    targets.append(stability_radius(_unit(2), delta, eps_sq, cfg))
+    targets = [d.probe for d in degenerate_family(1, [1, 10, 100], restarts=6)]
+    targets.append(stability_radius(_unit(2), delta, eps_sq, restarts=6))
     members = [Lattice(((F(1), F(0)), (F(0), F(d)))) for d in (1, 10, 100)] + [_unit(2)]
     for probe, L in zip(targets, members):
         red = minkowski_reduce(L)

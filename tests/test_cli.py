@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import latstab
 from latstab import parse_lattice_file, parse_lattice_text
-from latstab.cli import _json, _near, main
+from latstab.cli import _json, _near, build_parser, main
+from latstab.enumeration import DEFAULT_NODE_BUDGET
 
 
 @pytest.fixture
@@ -369,13 +371,14 @@ class TestExitCodes:
 
     def test_cold_import_loads_every_layer_and_no_dataclasses(self):
         # perfbench/tracing.py finds each layer in sys.modules after this import;
-        # dataclasses, which pulls in inspect, would slow every command's start
+        # dataclasses, which pulls in inspect, and typing would slow every command's
+        # start (-S: without site, which may load typing on its own)
         code = ("import sys, latstab.cli; print(' '.join(sorted(m for m in "
-                "('dataclasses', 'inspect', 'latstab.linalg', 'latstab.lattice', "
+                "('dataclasses', 'inspect', 'typing', 'latstab.linalg', 'latstab.lattice', "
                 "'latstab.reduction', 'latstab.enumeration', 'latstab.stability', "
                 "'latstab.generate', 'latstab.latfile') if m in sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_source_env(), timeout=60)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=_source_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["latstab.enumeration", "latstab.generate",
                                        "latstab.latfile", "latstab.lattice", "latstab.linalg",
@@ -454,6 +457,50 @@ class TestExitCodes:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _outcome(parse, argv) -> tuple:
+    """What parse(argv) returns, or the exit code and output when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "parsed", parse(argv), out.getvalue(), err.getvalue()
+        except SystemExit as e:
+            return "exit", e.code, out.getvalue(), err.getvalue()
+
+
+class TestParserOfOneCommand:
+    """main adds the arguments of the invoked command only; every other
+    subparser keeps its name and help."""
+
+    def test_same_help_and_namespace_as_the_full_parser(self):
+        full = build_parser(DEFAULT_NODE_BUDGET)
+        cases = json.loads((GOLDEN / "cases.json").read_text()).values()
+        assert {case["argv"][0] for case in cases} == set(_subparsers(full))
+        for case in cases:
+            command = case["argv"][0]
+            one = build_parser(DEFAULT_NODE_BUDGET, command)
+            assert (_subparsers(one)[command].format_help()
+                    == _subparsers(full)[command].format_help())
+            assert (_outcome(lambda a: vars(one.parse_args(a)), case["argv"])
+                    == _outcome(lambda a: vars(full.parse_args(a)), case["argv"])), case
+            assert all([a.dest for a in p._actions] == ["help"]
+                       for name, p in _subparsers(one).items() if name != command)
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2), (["--help"], 0), (["--version"], 0), (["nope"], 2), (["-1", "dual"], 2),
+        (["-h", "dual"], 0),
+    ])
+    def test_output_and_exit_code_kept(self, argv, code, monkeypatch):
+        # -1 is the argument argparse takes for the command, not dual
+        monkeypatch.delenv("LATSTAB_NODE_BUDGET", raising=False)
+        want = _outcome(build_parser(DEFAULT_NODE_BUDGET).parse_args, argv)
+        assert want[:2] == ("exit", code) and (want[2] or want[3])
+        assert _outcome(main, argv) == ("parsed", code, *want[2:])
 RATIONALS = ["1/4", "1/5", "1/100", "4", "0", "-3", "0.25", "x", ""]
 VECTORS = ["1/3 0", "2/5 3/5", "1/2 1/5", "1 2 3", "1 a", ""]
 COUNTS = ["1", "3", "0", "-1", "x", "\u0662", "1_0", " 3"]

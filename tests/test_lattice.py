@@ -3,12 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from latstab import (
-    DEFAULT_NODE_BUDGET,
     DependentRows,
     Lattice,
     NearResult,
     NotInSpan,
-    ProbeConfig,
+    ReducedBasis,
     annihilator,
     dist_to_integers,
     double_dual_check,
@@ -150,7 +149,9 @@ class TestRecord:
     dataclass(frozen=True); each repr below is what the dataclass printed."""
 
     def test_repr_as_before(self):
-        assert repr(ProbeConfig()) == "ProbeConfig(seed=0, restarts=32, node_budget=10000000)"
+        red = ReducedBasis(((F(1), F(0)),), "lll", (F(1),))
+        assert repr(red) == ("ReducedBasis(basis=((Fraction(1, 1), Fraction(0, 1)),), kind='lll', "
+                             "norms_sq=(Fraction(1, 1),), parameter=None)")
         near = NearResult(point=(F(1), F(-1, 2)), coords=(1, 0), dist_sq=F(1, 4))
         assert repr(near) == ("NearResult(point=(Fraction(1, 1), Fraction(-1, 2)), "
                               "coords=(1, 0), dist_sq=Fraction(1, 4))")
@@ -160,19 +161,22 @@ class TestRecord:
                            "(Fraction(1, 1), Fraction(1, 2))))")
 
     def test_position_keyword_and_defaults(self):
-        full = ProbeConfig(7, 32, DEFAULT_NODE_BUDGET)
-        assert ProbeConfig(7) == ProbeConfig(seed=7) == full
-        assert ProbeConfig(7, node_budget=5) == ProbeConfig(seed=7, restarts=32, node_budget=5)
-        assert (ProbeConfig().seed, ProbeConfig().restarts) == (0, 32)
+        B, norms = ((F(1), F(0)), (F(0), F(2))), (F(1), F(4))
+        full = ReducedBasis(B, "minkowski", norms, None)
+        assert ReducedBasis(B, "minkowski", norms) == ReducedBasis(B, kind="minkowski",
+                                                                 norms_sq=norms) == full
+        assert (ReducedBasis(B, "lll", norms, parameter=F(3, 4))
+                == ReducedBasis(basis=B, kind="lll", norms_sq=norms, parameter=F(3, 4)))
+        assert ReducedBasis(B, "minkowski", norms).parameter is None
 
     @pytest.mark.parametrize("args, kwargs", [
-        ((1, 2, 3, 4), {}),       # one more than the three fields
-        ((1,), {"seed": 2}),      # seed twice
-        ((), {"seeds": 1}),       # no such field
+        ((1, 2, 3, 4, 5), {}),            # one more than the four fields
+        ((1, 2, 3), {"basis": 2}),        # basis twice
+        ((1, 2, 3), {"parameters": 1}),   # no such field
     ])
     def test_unknown_or_repeated_field(self, args, kwargs):
-        with pytest.raises(TypeError, match="ProbeConfig"):
-            ProbeConfig(*args, **kwargs)
+        with pytest.raises(TypeError, match="ReducedBasis"):
+            ReducedBasis(*args, **kwargs)
 
     def test_missing_field(self):
         with pytest.raises(TypeError, match="NearResult"):
@@ -181,14 +185,14 @@ class TestRecord:
             NearResult((F(1),), (1,))
 
     def test_frozen(self):
-        cfg = ProbeConfig()
-        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
-            cfg.seed = 1
+        red = ReducedBasis(((F(1),),), "lll", (F(1),))
+        with pytest.raises(AttributeError, match="cannot assign to field 'kind'"):
+            red.kind = "minkowski"
         with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
-            cfg.other = 1
-        with pytest.raises(AttributeError, match="cannot delete field 'seed'"):
-            del cfg.seed
-        assert cfg == ProbeConfig()
+            red.other = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'kind'"):
+            del red.kind
+        assert red == ReducedBasis(((F(1),),), "lll", (F(1),))
 
     def test_equality_and_hash_by_fields_within_one_class(self):
         @record

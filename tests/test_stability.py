@@ -14,7 +14,6 @@ from latstab import (
     DimensionMismatch,
     Lattice,
     NotInSpan,
-    ProbeConfig,
     almost_near_linear,
     check_hypothesis,
     degenerate_family,
@@ -37,9 +36,10 @@ from latstab.lattice import dist_to_integers
 from latstab.linalg import _round_half_even
 from latstab.stability import _slab_step, _violated
 from conftest import seeded_lattices
-from oracles import reference_almost_near_linear, reference_probe_worst_distance
+from oracles import (reference_almost_near_linear, reference_probe_worst_distance,
+                     reference_violations)
 
-FAST = ProbeConfig(seed=0, restarts=8)
+FAST = {"seed": 0, "restarts": 8}
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -257,31 +257,31 @@ class TestSharpness:
 
 class TestProbe:
     def test_line_small_radius(self, z1):
-        f, w = probe_worst_distance(z1, F(1, 4), F(1), FAST)
+        f, w = probe_worst_distance(z1, F(1, 4), F(1), **FAST)
         assert f == F(1, 16)
         assert w in {(F(1, 4),), (F(-1, 4),)}
 
     def test_line_larger_radius_pinches(self, z1):
-        f, _ = probe_worst_distance(z1, F(1, 4), F(4), FAST)
+        f, _ = probe_worst_distance(z1, F(1, 4), F(4), **FAST)
         assert f == F(1, 64)
 
     def test_square_corner(self, z2):
-        f, _ = probe_worst_distance(z2, F(1, 4), F(1), FAST)
+        f, _ = probe_worst_distance(z2, F(1, 4), F(1), **FAST)
         assert f == F(1, 8)
 
     def test_witness_is_feasible(self, skew2):
-        f, w = probe_worst_distance(skew2, F(1, 5), F(2), FAST)
+        f, w = probe_worst_distance(skew2, F(1, 5), F(2), **FAST)
         rep = check_hypothesis(skew2, w, F(1, 5), F(2))
         assert rep.holds
         assert near_dual_vector(skew2, w).dist_sq == f
 
     def test_delta_below_third(self, z1):
         with pytest.raises(ValueError):
-            probe_worst_distance(z1, F(1, 3), F(1), FAST)
+            probe_worst_distance(z1, F(1, 3), F(1), **FAST)
 
     def test_negative_radius_rejected(self, z1):
         with pytest.raises(ValueError, match="radius_sq must be nonnegative, got -1"):
-            probe_worst_distance(z1, F(1, 4), -1, FAST)
+            probe_worst_distance(z1, F(1, 4), -1, **FAST)
 
     def test_wrong_repair_step_rejected(self, z2, monkeypatch):
         # the half-vector starts violate their slabs, so every one is repaired
@@ -297,7 +297,7 @@ class TestProbe:
 
         monkeypatch.setattr(linalg, "_eliminate", wrong)
         with pytest.raises(CertificationFailed, match="does not solve A y = b"):
-            probe_worst_distance(z2, F(1, 4), F(1), FAST)
+            probe_worst_distance(z2, F(1, 4), F(1), **FAST)
 
     def test_infeasible_witness_rejected(self, z1, monkeypatch):
         # the ascent's steps overshoot every slab by 1/3 (the push builds its
@@ -312,14 +312,14 @@ class TestProbe:
 
         monkeypatch.setattr(stability, "_lowest", overshoot)
         with pytest.raises(CertificationFailed, match="witness violates the hypothesis"):
-            probe_worst_distance(z1, F(1, 4), F(1), FAST)
+            probe_worst_distance(z1, F(1, 4), F(1), **FAST)
 
     def test_rank_four_starts_from_the_cell(self):
         """With the dual cell's vertices among the starts, the rank-4 probe
         at r^2 = 44 finds f^2 > 1/100, so stability-radius at eps^2 = 1/100
         cannot stop at 44."""
         L = parse_lattice_file(GOLDEN / "r4.txt")
-        f, w = probe_worst_distance(L, F(1, 4), 44, ProbeConfig(restarts=0))
+        f, w = probe_worst_distance(L, F(1, 4), 44, restarts=0)
         assert f == F(57599, 5324928) > F(1, 100)
         assert near_dual_vector(L, w).dist_sq == f
 
@@ -334,7 +334,7 @@ class TestProbe:
             return real(L, t, budget)
 
         monkeypatch.setattr(stability, "_closest", counted)
-        assert probe_worst_distance(z2, F(1, 4), F(1), FAST) == (F(1, 8), (F(-1, 4), F(-1, 4)))
+        assert probe_worst_distance(z2, F(1, 4), F(1), **FAST) == (F(1, 8), (F(-1, 4), F(-1, 4)))
         assert targets and len(set(targets)) == len(targets)
         assert ((0, 0), 1) not in targets
 
@@ -354,7 +354,7 @@ class TestProbe:
 
         for name in calls:
             monkeypatch.setattr(stability, name, counted(name))
-        degenerate_family(1, [10], cfg=ProbeConfig(seed=1))
+        degenerate_family(1, [10], seed=1)
         assert [len(c) for c in calls.values()] == [427, 353]
         assert all(len(set(c)) == len(c) for c in calls.values())
 
@@ -377,8 +377,8 @@ class TestProbeMatchesFractionReference:
                 delta = deltas[(i + j) % len(deltas)]
                 for cap in caps:
                     monkeypatch.setattr(stability, "ASCENT_CAP", cap)
-                    want = reference_probe_worst_distance(L, delta, r2, FAST, max_iters=cap)
-                    assert probe_worst_distance(L, delta, r2, FAST) == want, \
+                    want = reference_probe_worst_distance(L, delta, r2, **FAST, max_iters=cap)
+                    assert probe_worst_distance(L, delta, r2, **FAST) == want, \
                         (L.basis, delta, r2, cap)
 
     def test_rank_four_golden_and_rank_five(self):
@@ -386,14 +386,13 @@ class TestProbeMatchesFractionReference:
         above the Minkowski cap, starts from half-vectors only, and its
         symmetric witnesses of equal distance go to the tie rule."""
         L = parse_lattice_file(GOLDEN / "r4.txt")
-        cfg = ProbeConfig(restarts=0)
         for r2 in (21, 44):
-            want = reference_probe_worst_distance(L, F(1, 4), r2, cfg)
-            assert probe_worst_distance(L, F(1, 4), r2, cfg) == want
+            want = reference_probe_worst_distance(L, F(1, 4), r2, restarts=0)
+            assert probe_worst_distance(L, F(1, 4), r2, restarts=0) == want
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         for r2 in (4, 8, 16):
-            want = reference_probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST)
-            assert probe_worst_distance(Lattice(rows), F(1, 4), r2, FAST) == want
+            want = reference_probe_worst_distance(Lattice(rows), F(1, 4), r2, **FAST)
+            assert probe_worst_distance(Lattice(rows), F(1, 4), r2, **FAST) == want
 
     def test_rounding_ties(self, z2, skew2, monkeypatch):
         # u.x = 1/2 and 3/2 for basis vectors u: nearest integers 0 and 2; the
@@ -404,10 +403,9 @@ class TestProbeMatchesFractionReference:
             W = dual(L).basis
             tie = linalg.vadd(linalg.vscale(F(1, 2), W[0]), linalg.vscale(F(3, 2), W[1]))
             for delta in (F(0), F(1, 4)):
-                one = ProbeConfig(seed=FAST.seed, restarts=1, node_budget=FAST.node_budget)
-                none = ProbeConfig(seed=FAST.seed, restarts=0, node_budget=FAST.node_budget)
-                got = probe_worst_distance(L, delta, F(2), one)
-                want = reference_probe_worst_distance(L, delta, F(2), none, extra_starts=(tie,))
+                got = probe_worst_distance(L, delta, F(2), restarts=1)
+                want = reference_probe_worst_distance(L, delta, F(2), restarts=0,
+                                                      extra_starts=(tie,))
                 assert got == want
 
     def test_sweep_is_the_warm_started_reference(self, monkeypatch):
@@ -416,9 +414,10 @@ class TestProbeMatchesFractionReference:
         real = stability._probe_levels
         sweeps = []
 
-        def recorded(L, delta, C, levels, cfg):
-            sweeps.append((L, delta, [r2 for r2, _ in levels], cfg, stability.ASCENT_CAP, []))
-            for got in real(L, delta, C, levels, cfg):
+        def recorded(L, delta, C, levels, seed, restarts, node_budget):
+            knobs = {"seed": seed, "restarts": restarts, "node_budget": node_budget}
+            sweeps.append((L, delta, [r2 for r2, _ in levels], knobs, stability.ASCENT_CAP, []))
+            for got in real(L, delta, C, levels, **knobs):
                 sweeps[-1][-1].append(got)
                 yield got
 
@@ -426,7 +425,7 @@ class TestProbeMatchesFractionReference:
         # on these bases, a sweep without the warm starts misses a level's answer
         for seed, n, m in ((5, 2, 2), (2, 3, 2), (8, 3, 3)):
             L = random_lattice(seed, n, m, entry_bound=3)
-            stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=4)
+            stability_radius(L, F(1, 4), F(1, 100), **FAST, max_levels=4)
         # on these, a repair step taken from fewer than m violated rows and kept
         # after a later level's rows complete the choice goes wrong at some level,
         # both with ascents uncapped and capped at 1 point, the repaired start
@@ -435,27 +434,28 @@ class TestProbeMatchesFractionReference:
                 capped.setattr(stability, "ASCENT_CAP", cap)
                 for seed, n, delta in ((9, 2, F(3, 10)), (16, 2, F(1, 4)), (6, 3, F(1, 4))):
                     stability_radius(random_lattice(seed, n, 2, entry_bound=3), delta,
-                                     F(1, 100), ProbeConfig(seed=0, restarts=4), max_levels=12)
+                                     F(1, 100), seed=0, restarts=4, max_levels=12)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
-        stability_radius(Lattice(rows), F(1, 4), F(1, 4), FAST, max_levels=2)
+        stability_radius(Lattice(rows), F(1, 4), F(1, 4), **FAST, max_levels=2)
         r4 = parse_lattice_file(GOLDEN / "r4.txt")
         listing = list_vectors(r4, 44).vectors
         norms = [nsq for _, nsq in listing]
         list(stability._probe_levels(r4, F(1, 4), [c for c, _ in listing],
                                      [(r2, bisect_right(norms, r2)) for r2 in sorted(set(norms))],
-                                     ProbeConfig(restarts=0)))
+                                     seed=0, restarts=0,
+                                     node_budget=enumeration.DEFAULT_NODE_BUDGET))
         assert {L.rank for L, *_ in sweeps} == {2, 3, 4, 5}
         assert {cap for *_, cap, _ in sweeps} == {1, stability.ASCENT_CAP}
         # the cap binds: some capped sweep finds less than the same sweep uncapped
         runs = {(L.basis, delta, cap): got for L, delta, _, _, cap, got in sweeps}
         assert any(got != runs[B, delta, stability.ASCENT_CAP]
                    for (B, delta, cap), got in runs.items() if cap == 1)
-        for L, delta, radii, cfg, cap, got in sweeps:
+        for L, delta, radii, knobs, cap, got in sweeps:
             assert len(got) == len(radii) > 1
             for i, r2 in enumerate(radii):
                 earlier = tuple(w for _, w in got[:i])
                 assert got[i] == reference_probe_worst_distance(
-                    L, delta, r2, cfg, max_iters=cap, extra_starts=earlier), (L.basis, r2)
+                    L, delta, r2, **knobs, max_iters=cap, extra_starts=earlier), (L.basis, r2)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24)
@@ -515,10 +515,15 @@ def _same_length_pair(n):
 
 @given(st.integers(1, 3).flatmap(_same_length_pair), deltas_below_half)
 def test_integer_slab_test_matches_fraction(cxi, delta):
-    c, xi = [round(a) for a in cxi[0]], linalg.as_vec(cxi[1])
+    """The scan's test on c.X and the certificate's on c.Y, each in integers,
+    flag a row exactly when the Fraction rule does."""
+    c, xi = tuple(round(a) for a in cxi[0]), linalg.as_vec(cxi[1])
     X, q = linalg._scaled(xi)
+    want = reference_violations([c], xi, delta)
+    assert bool(want) == (dist_to_integers(linalg.dot(c, xi)) > delta)
     got = _violated([sum(a * b for a, b in zip(c, X))], q, delta.numerator, delta.denominator)
-    assert bool(got) == (dist_to_integers(linalg.dot(c, xi)) > delta)
+    assert bool(got) == bool(want)
+    assert stability._violations([c], xi, delta) == want
 
 
 @st.composite
@@ -545,22 +550,52 @@ def slab_cases(draw):
 @given(slab_cases())
 def test_integer_slab_test_flags_the_hypothesis_violations(case):
     """_violated, the probe's slab test on N = c.X, picks exactly the rows
-    that _violations, the hypothesis in plain Fractions, reports; a point on
-    a face k +- delta is feasible for that row."""
+    that the hypothesis in plain Fractions reports, and _violations, the
+    certificate's test, reports them as it does; a point on a face k +- delta
+    is feasible for that row."""
     C, X, q, delta, on_face = case
     Ns = [sum(a * b for a, b in zip(c, X)) for c in C]
     Bx = tuple(F(a, q) for a in X)
     if on_face:
         assert dist_to_integers(Ns[0] / F(q)) == delta
-    flagged = {v.coords for v in stability._violations(C, Bx, delta)}
+    want = reference_violations(C, Bx, delta)
+    assert stability._violations(C, Bx, delta) == want
     got = _violated(Ns, q, delta.numerator, delta.denominator)
-    assert got == [i for i, c in enumerate(C) if c in flagged]
+    assert got == [i for i, c in enumerate(C) if c in {v.coords for v in want}]
     assert not (on_face and 0 in got)
+
+
+@st.composite
+def hypothesis_cases(draw):
+    """A lattice with integer rows of rank m <= 3 in dimension m or m + 1, a
+    point x = xi W of its span, delta in [0, 1/2) and a radius, squared,
+    between the shortest row's and the longest row's."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, m + 1))
+    B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    assume(linalg.rank(linalg.as_mat(B)) == m)
+    L = Lattice(linalg.as_mat(B))
+    xi = draw(st.lists(rationals, min_size=m, max_size=m))
+    norms = [linalg.norm_sq(b) for b in L.basis]
+    r2 = draw(st.fractions(min_value=min(norms), max_value=max(norms), max_denominator=6))
+    return L, linalg.vec_mat(linalg.as_vec(xi), dual(L).basis), draw(deltas_below_half), r2
+
+
+@given(hypothesis_cases())
+def test_check_hypothesis_is_the_fraction_rule(case):
+    """check_hypothesis reports exactly the listed rows that the Fraction rule
+    flags, with each u.x formed in the ambient space."""
+    L, x, delta, r2 = case
+    C = [c for c, _ in list_vectors(L, r2)]
+    want = reference_violations(C, tuple(linalg.dot(b, x) for b in L.basis), delta)
+    rep = check_hypothesis(L, x, delta, r2)
+    assert (rep.violations, rep.holds, rep.checked_count) == (want, not want, len(C))
 
 
 class TestStabilityRadius:
     def test_line_frozen_curve(self, z1):
-        probe = stability_radius(z1, F(1, 4), F(1, 100), FAST)
+        probe = stability_radius(z1, F(1, 4), F(1, 100), **FAST)
         assert probe.radius_grid == (1, 4, 9)
         assert probe.f_hat_sq == (F(1, 16), F(1, 64), F(1, 144))
         assert probe.estimated_r_sq == 9
@@ -569,7 +604,7 @@ class TestStabilityRadius:
         assert probe.levels_dropped == 0
 
     def test_curve_monotone_and_witnessed(self, z2):
-        probe = stability_radius(z2, F(1, 4), F(1, 100), FAST)
+        probe = stability_radius(z2, F(1, 4), F(1, 100), **FAST)
         for a, b in zip(probe.f_hat_sq, probe.f_hat_sq[1:]):
             assert a >= b
         for r2, f, w in zip(probe.radius_grid, probe.f_hat_sq, probe.witnesses):
@@ -578,7 +613,7 @@ class TestStabilityRadius:
         assert probe.estimated_r_sq == 9
 
     def test_estimate_within_sufficient_level(self, mixed2):
-        probe = stability_radius(mixed2, F(1, 4), F(1, 100), FAST)
+        probe = stability_radius(mixed2, F(1, 4), F(1, 100), **FAST)
         assert probe.estimated_r_sq <= probe.sufficient_radius_sq
         assert probe.sufficient_bound_sq <= F(1, 100)
         assert probe.f_hat_sq[-1] <= F(1, 100)
@@ -596,7 +631,7 @@ class TestStabilityRadius:
         monkeypatch.setattr(enumeration, "_covering_upper_sq",
                             lambda K, budget: cells.append(K) or real_upper(K, budget))
         L = random_lattice(11, 3, 3)
-        probe = stability_radius(L, F(1, 4), F(1, 100), FAST, max_levels=3)
+        probe = stability_radius(L, F(1, 4), F(1, 100), **FAST, max_levels=3)
         assert len(probe.radius_grid) == 3
         Ld = dual(L)
         assert sorted(map(id, preps)) == sorted((id(L.basis), id(Ld.basis)))
@@ -631,15 +666,14 @@ class TestStabilityRadius:
         cell's vertices) given in reverse order change no sweep and no single probe,
         with ascents uncapped and capped at 1 point, the repaired start. The cap
         binds: on the last small basis the capped sweep finds less."""
-        cfg = ProbeConfig(seed=0, restarts=4)
-
         def results():
             small = [Lattice(linalg.as_mat(B)) for B in
                      ([[1, 0], [0, 1]], [[1, 0], [0, 10]], [[2, 1], [1, 3]], [[1, -3], [2, 5]])]
             mixed = parse_lattice_file(GOLDEN / "mixed.txt")
-            return ([stability_radius(L, F(1, 4), F(1, 100), cfg, max_levels=12) for L in small]
-                    + [stability_radius(mixed, F(1, 4), F(1, 100), cfg, max_levels=8)]
-                    + [probe_worst_distance(L, F(1, 4), 4, cfg) for L in small])
+            return ([stability_radius(L, F(1, 4), F(1, 100), restarts=4, max_levels=12)
+                     for L in small]
+                    + [stability_radius(mixed, F(1, 4), F(1, 100), restarts=4, max_levels=8)]
+                    + [probe_worst_distance(L, F(1, 4), 4, restarts=4) for L in small])
 
         want = {stability.ASCENT_CAP: results()}
         monkeypatch.setattr(stability, "ASCENT_CAP", 1)
@@ -665,13 +699,13 @@ class TestStabilityRadius:
         raw = {}
         real = stability._probe_levels
 
-        def recorded(L, delta, C, levels, cfg):
-            for (r2, _), got in zip(levels, real(L, delta, C, levels, cfg)):
+        def recorded(L, delta, C, levels, *knobs):
+            for (r2, _), got in zip(levels, real(L, delta, C, levels, *knobs)):
                 raw[r2] = got
                 yield got
         monkeypatch.setattr(stability, "_probe_levels", recorded)
         L = random_lattice(18, 2, 2, entry_bound=4, min_lambda1_sq=4)
-        got = stability_radius(L, F(1, 4), F(1, 100), ProbeConfig(restarts=0), max_levels=8)
+        got = stability_radius(L, F(1, 4), F(1, 100), restarts=0, max_levels=8)
         i = got.radius_grid.index(34)
         assert got.radius_grid[i + 1] == 36
         assert raw[34][0] == F(37, 11664)
@@ -691,7 +725,7 @@ class TestStabilityRadius:
         monkeypatch.setattr(reduction, "_lll_rows", enumeration._lll_rows)
         rows = tuple(tuple(F(2 if i == j else 0) for j in range(5)) for i in range(5))
         L = Lattice(rows)
-        got = stability_radius(L, F(1, 4), F(1, 4), ProbeConfig(restarts=0), max_levels=2)
+        got = stability_radius(L, F(1, 4), F(1, 4), restarts=0, max_levels=2)
         assert sorted(map(id, calls)) == sorted((id(L.basis), id(dual(L).basis)))
         assert got.reduction_kind == "lll"
         assert got.radius_grid == (4, 16)
@@ -703,7 +737,7 @@ class TestStabilityRadius:
         levels = len([q for q in norms if 0 < q <= 256])
         assert levels == 152
         for max_levels in (1, 4):
-            probe = stability_radius(mixed2, F(1, 4), F(1, 100), FAST, max_levels=max_levels)
+            probe = stability_radius(mixed2, F(1, 4), F(1, 100), **FAST, max_levels=max_levels)
             assert probe.sufficient_radius_sq == 256
             assert len(probe.radius_grid) == max_levels
             assert probe.levels_dropped == levels - max_levels
@@ -713,31 +747,40 @@ class TestStabilityRadius:
         # levels, so the sweep from the level r^2 = 2 on runs on a zero budget
         real = stability._probe_levels
 
-        def starved(L, delta, C, levels, cfg):
-            yield from real(L, delta, C, levels[:1], cfg)
-            yield from real(L, delta, C, levels[1:],
-                            ProbeConfig(seed=cfg.seed, restarts=cfg.restarts, node_budget=0))
+        def starved(L, delta, C, levels, seed, restarts, node_budget):
+            yield from real(L, delta, C, levels[:1], seed, restarts, node_budget)
+            yield from real(L, delta, C, levels[1:], seed, restarts, 0)
 
         monkeypatch.setattr(stability, "_probe_levels", starved)
         with pytest.raises(BudgetExceeded) as err:
-            stability_radius(z2, F(1, 4), F(1, 100), FAST)
+            stability_radius(z2, F(1, 4), F(1, 100), **FAST)
         assert err.value.budget == 0
         assert str(err.value) == ("closest_vector at rank 2, radius^2 1/2 exceeded node budget 0, "
                                   "at probe level radius^2 2")
 
     def test_curve_that_never_dips_rejected(self, z1, monkeypatch):
         monkeypatch.setattr(stability, "_probe_levels",
-                            lambda L, delta, C, levels, cfg: ((F(1), (F(0),)) for _ in levels))
+                            lambda L, delta, C, levels, *knobs: ((F(1), (F(0),)) for _ in levels))
         with pytest.raises(CertificationFailed):
-            stability_radius(z1, F(1, 4), F(1, 100), FAST)
+            stability_radius(z1, F(1, 4), F(1, 100), **FAST)
 
     def test_parameters_validated(self, z1):
         with pytest.raises(ValueError):
-            stability_radius(z1, F(1, 3), F(1, 100), FAST)
+            stability_radius(z1, F(1, 3), F(1, 100), **FAST)
         with pytest.raises(ValueError):
-            stability_radius(z1, F(1, 4), F(0), FAST)
+            stability_radius(z1, F(1, 4), F(0), **FAST)
         with pytest.raises(ValueError):
-            stability_radius(z1, F(1, 4), F(1, 100), FAST, max_levels=0)
+            stability_radius(z1, F(1, 4), F(1, 100), **FAST, max_levels=0)
+
+    def test_probe_options_are_keywords(self, z1):
+        # seed, restarts, node_budget and max_levels are passed by name only
+        for extra in ((0,), ({"seed": 0},), (0, 8, 10**6, 32)):
+            with pytest.raises(TypeError):
+                stability_radius(z1, F(1, 4), F(1, 100), *extra)
+        with pytest.raises(TypeError):
+            probe_worst_distance(z1, F(1, 4), F(1), 0)
+        with pytest.raises(TypeError):
+            degenerate_family(1, [10], F(1, 4), F(1, 100), 0)
 
 
 class TestDegenerateFamily:
@@ -753,7 +796,7 @@ class TestDegenerateFamily:
             degenerate_family(1, [10, 0])
 
     def test_flattening_dual_direction(self):
-        fam = degenerate_family(1, [10], cfg=FAST)[0]
+        fam = degenerate_family(1, [10], **FAST)[0]
         assert fam.minima_sq == (1, 100)
         assert fam.dual_minima_sq == (F(1, 100), 1)
         assert fam.mu_dual_sq == F(101, 400)
@@ -771,13 +814,13 @@ class TestDegenerateFamily:
 
         monkeypatch.setattr(enumeration, "list_vectors", counted)
         monkeypatch.setattr(stability, "list_vectors", counted)
-        fam = degenerate_family(1, [10], cfg=FAST)[0]
+        fam = degenerate_family(1, [10], **FAST)[0]
         assert fam.minima_sq == (1, 100) and fam.probe.reduction_kind == "minkowski"
         assert sum(K is fam.lattice and r2 == 100 for K, r2 in listed) == 1
 
     def test_diagnostics_run_at_the_configured_budget(self, monkeypatch):
         # the minima of both sides and the dual's exact covering radius, whose
-        # certificate is a CVP, search under cfg.node_budget like the probe
+        # certificate is a CVP, search under the probe's node_budget
         budgets, caps = [], []
         for name in ("successive_minima", "covering_radius"):
             real = getattr(stability, name)
@@ -790,11 +833,10 @@ class TestDegenerateFamily:
                 super().__init__(cap, *rest)
 
         monkeypatch.setattr(enumeration, "_Budget", Recorded)
-        degenerate_family(1, [10], cfg=ProbeConfig(seed=FAST.seed, restarts=FAST.restarts,
-                                                   node_budget=123_457))
+        degenerate_family(1, [10], **FAST, node_budget=123_457)
         assert budgets == [123_457] * 3
         assert set(caps) == {123_457}
 
     def test_rejects_nonpositive_scales(self):
         with pytest.raises(ValueError):
-            degenerate_family(1, [0], cfg=FAST)
+            degenerate_family(1, [0], **FAST)
